@@ -66,7 +66,13 @@ from repro.baselines.pricing import pricing_vertex_cover
 from repro.core.centralized import run_centralized
 from repro.core.mpc_mwvc import minimum_weight_vertex_cover
 from repro.graphs.graph import WeightedGraph
-from repro.graphs.io import load_edgelist, load_npz, save_edgelist, save_npz
+from repro.graphs.io import (
+    load_edgelist,
+    load_npz,
+    save_cover_ids,
+    save_edgelist,
+    save_npz,
+)
 from repro.graphs.weights import WEIGHT_MODELS, make_weights
 from repro.service.batch import BatchSolver
 from repro.service.manifest import GRAPH_FAMILIES, generate_graph, load_manifest
@@ -166,7 +172,7 @@ def _cmd_solve(args) -> int:
         rows = [{"key": k, "value": v} for k, v in summary.items()]
         print(render_table(rows, title=f"{args.algorithm} on {graph}"))
     if args.cover_out:
-        np.savetxt(args.cover_out, np.nonzero(cover)[0], fmt="%d")
+        save_cover_ids(args.cover_out, np.nonzero(cover)[0])
         print(f"cover vertex ids written to {args.cover_out}")
     return 0
 
@@ -295,7 +301,7 @@ def _emit_stream_summary(args, summary, out) -> int:
             raise SystemExit(f"cannot write --out: {exc}")
     if getattr(args, "cover_out", None) and summary.final_cover is not None:
         try:
-            np.savetxt(args.cover_out, np.nonzero(summary.final_cover)[0], fmt="%d")
+            save_cover_ids(args.cover_out, np.nonzero(summary.final_cover)[0])
         except OSError as exc:
             raise SystemExit(f"cannot write --cover-out: {exc}")
         print(f"cover vertex ids written to {args.cover_out}", file=sys.stderr)

@@ -110,7 +110,9 @@ class DynamicGraph:
         heads = np.concatenate([base.edges_u, base.edges_v])
         tails = np.concatenate([base.edges_v, base.edges_u])
         if m:
-            order = np.lexsort((tails, heads))
+            # Directed edges are unique, so their keys are too: the order
+            # is the (head, tail) order; n < _MAX_N keeps keys in int64.
+            order = np.argsort(heads * n + tails)
             tails = np.ascontiguousarray(tails[order])
             # Slot of edge e's two directed entries in the sorted CSR —
             # one O(1) lookup per delete instead of two row searches.

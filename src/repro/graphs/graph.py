@@ -33,6 +33,11 @@ from repro.utils.validation import ensure_float_array, ensure_int_array
 __all__ = ["WeightedGraph", "canonical_edges"]
 
 
+#: Largest vertex count whose edge keys ``lo * n + hi`` fit in int64
+#: (``n * n <= 2**63 - 1``).
+MAX_CANONICAL_N = 3_037_000_499
+
+
 def canonical_edges(
     edges_u: np.ndarray, edges_v: np.ndarray, *, n: int, allow_duplicates: bool = True
 ) -> Tuple[np.ndarray, np.ndarray]:
@@ -43,12 +48,18 @@ def canonical_edges(
     and is better handled by preprocessing).  Endpoints outside ``[0, n)``
     are rejected.
 
+    Each edge is sorted as the single int64 key ``lo * n + hi``; for
+    ``0 <= hi < n`` that order is exactly the lexicographic ``(lo, hi)``
+    order.  The key must fit in int64, so ``n`` may be at most
+    :data:`MAX_CANONICAL_N` (``3_037_000_499``).
+
     Parameters
     ----------
     edges_u, edges_v:
         Endpoint arrays of equal length.
     n:
-        Number of vertices; endpoints must lie in ``[0, n)``.
+        Number of vertices, at most ``3_037_000_499``; endpoints must lie
+        in ``[0, n)``.
     allow_duplicates:
         When ``False``, duplicate edges raise instead of merging.
     """
@@ -56,28 +67,35 @@ def canonical_edges(
     v = ensure_int_array("edges_v", edges_v)
     if u.shape != v.shape:
         raise ValueError(f"endpoint arrays differ in length: {u.shape} vs {v.shape}")
+    if n > MAX_CANONICAL_N:
+        raise ValueError(
+            f"n must be at most {MAX_CANONICAL_N} (edge keys lo * n + hi "
+            f"must fit in int64), got {n}"
+        )
     if u.size == 0:
         return u, v
-    if (u == v).any():
-        bad = int(u[(u == v)][0])
-        raise ValueError(f"self-loop at vertex {bad} is not allowed")
-    lo_ok = (u >= 0) & (v >= 0)
-    hi_ok = (u < n) & (v < n)
-    if not (lo_ok & hi_ok).all():
-        raise ValueError(f"edge endpoints must lie in [0, {n})")
     lo = np.minimum(u, v)
     hi = np.maximum(u, v)
-    # Sort lexicographically by (lo, hi); a single key `lo * n + hi` would
-    # overflow for large n, so use lexsort.
-    order = np.lexsort((hi, lo))
-    lo, hi = lo[order], hi[order]
-    keep = np.ones(lo.size, dtype=bool)
-    keep[1:] = (lo[1:] != lo[:-1]) | (hi[1:] != hi[:-1])
+    loops = lo == hi
+    if loops.any():
+        raise ValueError(f"self-loop at vertex {int(lo[loops][0])} is not allowed")
+    if lo.min() < 0 or hi.max() >= n:
+        raise ValueError(f"edge endpoints must lie in [0, {n})")
+    # key = lo * n + hi, built in place over lo so no m-sized temporaries
+    # are added to the peak memory of loading a graph.
+    key = lo
+    np.multiply(key, n, out=key)
+    key += hi
+    key.sort()
+    keep = key[1:] != key[:-1]
     if not keep.all():
         if not allow_duplicates:
             raise ValueError("duplicate edges present and allow_duplicates=False")
-        lo, hi = lo[keep], hi[keep]
-    return lo, hi
+        key = key[np.concatenate(([True], keep))]
+        hi = hi[: key.size]
+    np.remainder(key, n, out=hi)
+    np.floor_divide(key, n, out=key)
+    return key, hi
 
 
 class WeightedGraph:
@@ -86,7 +104,8 @@ class WeightedGraph:
     Parameters
     ----------
     n:
-        Number of vertices, labeled ``0 .. n-1``.
+        Number of vertices, labeled ``0 .. n-1``; at most ``3_037_000_499``
+        (see :func:`canonical_edges`).
     edges_u, edges_v:
         Endpoint arrays (any orientation/order; canonicalized on
         construction, duplicates merged).

@@ -18,17 +18,20 @@ import gzip
 import io
 import os
 import tempfile
+import zipfile
 from typing import IO, Union
 
 import numpy as np
 
 from repro.graphs.graph import WeightedGraph
+from repro.utils.validation import ensure_int_array
 
 __all__ = [
     "save_npz",
     "load_npz",
     "save_edgelist",
     "load_edgelist",
+    "save_cover_ids",
     "fsync_directory",
     "write_bytes_atomic",
 ]
@@ -36,6 +39,9 @@ __all__ = [
 PathLike = Union[str, "os.PathLike[str]"]
 
 _FORMAT_VERSION = 1
+
+#: Arrays every graph ``.npz`` written by :func:`save_npz` holds.
+_NPZ_ARRAYS = ("version", "n", "edges_u", "edges_v", "weights")
 
 #: Edges parsed per chunk by :func:`load_edgelist` — bounds transient
 #: parsing memory independently of file size.
@@ -118,12 +124,36 @@ def save_npz(graph: WeightedGraph, path: PathLike) -> None:
 
 
 def load_npz(path: PathLike) -> WeightedGraph:
-    """Read a graph previously written by :func:`save_npz`."""
-    with np.load(path) as data:
+    """Read a graph previously written by :func:`save_npz`.
+
+    A file that is not an ``.npz`` archive, or an archive missing one of
+    the graph arrays, raises :class:`ValueError`.
+    """
+    try:
+        archive = np.load(path)
+    except (ValueError, EOFError, zipfile.BadZipFile):
+        raise ValueError("not a graph .npz file") from None
+    if not isinstance(archive, np.lib.npyio.NpzFile):
+        raise ValueError("not a graph .npz file")
+    with archive as data:
+        for name in _NPZ_ARRAYS:
+            if name not in data.files:
+                raise ValueError(f"graph .npz file lacks the {name!r} array")
         version = int(data["version"])
         if version != _FORMAT_VERSION:
             raise ValueError(f"unsupported graph file version {version}")
         return WeightedGraph(int(data["n"]), data["edges_u"], data["edges_v"], data["weights"])
+
+
+def save_cover_ids(path: PathLike, ids) -> None:
+    """Write vertex ids one per line (``.gz`` selects gzip).
+
+    The bytes equal ``np.savetxt(path, ids, fmt="%d")``: an empty id array
+    gives an empty file.
+    """
+    ids = ensure_int_array("ids", ids)
+    with _open_text(path, "w") as fh:
+        fh.write("".join(f"{i}\n" for i in ids.tolist()))
 
 
 def save_edgelist(graph: WeightedGraph, path: PathLike) -> None:

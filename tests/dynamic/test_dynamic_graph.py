@@ -210,3 +210,50 @@ class TestMaterializeCompact:
         expect = WeightedGraph.from_edge_list(80, sorted(edges), weights)
         assert dyn.materialize() == expect
         assert dyn.compactions >= 1
+
+
+def _assert_csr_matches_lexsort_oracle(dyn, base):
+    """Compare ``dyn``'s directed CSR against the two-key lexsort
+    construction :meth:`DynamicGraph._set_base` replaced."""
+    n, m = base.n, base.m
+    heads = np.concatenate([base.edges_u, base.edges_v])
+    tails = np.concatenate([base.edges_v, base.edges_u])
+    order = np.lexsort((tails, heads))
+    inv = np.empty(2 * m, dtype=np.int64)
+    inv[order] = np.arange(2 * m, dtype=np.int64)
+    indptr = np.zeros(n + 1, dtype=np.int64)
+    np.cumsum(np.bincount(heads, minlength=n), out=indptr[1:])
+    for got, want in (
+        (dyn._adj, tails[order]),
+        (dyn._indptr, indptr),
+        (dyn._slot_uv, inv[:m]),
+        (dyn._slot_vu, inv[m:]),
+    ):
+        assert got.dtype == np.int64
+        assert np.array_equal(got, want)
+
+
+class TestSetBase:
+    @pytest.mark.parametrize(
+        "base",
+        [
+            WeightedGraph.empty(1),
+            WeightedGraph.empty(6),
+            WeightedGraph.from_edge_list(2, [(1, 0)]),
+            gnp_average_degree(50, 4.0, seed=7),
+            gnp_average_degree(300, 12.0, seed=8),
+            gnp_average_degree(2000, 3.0, seed=9),
+        ],
+        ids=["n1-edgeless", "n6-edgeless", "n2", "gnp50", "gnp300", "gnp2000"],
+    )
+    def test_csr_matches_lexsort_oracle(self, base):
+        _assert_csr_matches_lexsort_oracle(DynamicGraph(base), base)
+
+    def test_csr_after_compaction_matches_lexsort_oracle(self):
+        dyn = DynamicGraph(gnp_average_degree(200, 6.0, seed=10))
+        rng = np.random.default_rng(11)
+        for _ in range(300):
+            u, v = (int(x) for x in rng.integers(0, 200, size=2))
+            if u != v:
+                dyn.apply(EdgeInsert(u, v) if rng.random() < 0.5 else EdgeDelete(u, v))
+        _assert_csr_matches_lexsort_oracle(dyn, dyn.compact())

@@ -43,6 +43,18 @@ class TestCanonicalEdges:
         with pytest.raises(ValueError, match="length"):
             canonical_edges(np.array([0, 1]), np.array([1]), n=3)
 
+    def test_n_above_int64_key_limit_rejected(self):
+        # Tested on canonical_edges directly: the WeightedGraph constructor
+        # would allocate n-sized weight and degree arrays.
+        with pytest.raises(ValueError, match="3037000499"):
+            canonical_edges(np.array([0, 2]), np.array([1, 0]), n=3_037_000_500)
+
+    def test_n_at_int64_key_limit_accepted(self):
+        n = 3_037_000_499
+        u, v = canonical_edges(np.array([n - 1, 2, 0]), np.array([n - 2, 0, 2]), n=n)
+        assert u.tolist() == [0, n - 2]
+        assert v.tolist() == [2, n - 1]
+
 
 class TestConstruction:
     def test_basic(self, triangle):

@@ -5,7 +5,13 @@ import pytest
 
 from repro.graphs.generators import gnp_average_degree
 from repro.graphs.graph import WeightedGraph
-from repro.graphs.io import load_edgelist, load_npz, save_edgelist, save_npz
+from repro.graphs.io import (
+    load_edgelist,
+    load_npz,
+    save_cover_ids,
+    save_edgelist,
+    save_npz,
+)
 from repro.graphs.weights import uniform_weights
 
 
@@ -40,6 +46,36 @@ class TestNpz:
         )
         with pytest.raises(ValueError, match="version"):
             load_npz(path)
+
+    def test_missing_array_named(self, tmp_path):
+        path = tmp_path / "g.npz"
+        np.savez_compressed(path, n=np.int64(1), weights=np.ones(1))
+        with pytest.raises(ValueError, match="'version'"):
+            load_npz(path)
+
+    @pytest.mark.parametrize("content", [b"", b"junk\n", b"PK\x03\x04 truncated"])
+    def test_not_an_npz_file(self, tmp_path, content):
+        path = tmp_path / "g.npz"
+        path.write_bytes(content)
+        with pytest.raises(ValueError, match="not a graph .npz file"):
+            load_npz(path)
+
+    def test_plain_npy_is_not_a_graph(self, tmp_path):
+        path = tmp_path / "g.npy"
+        np.save(path, np.arange(3))
+        with pytest.raises(ValueError, match="not a graph .npz file"):
+            load_npz(path)
+
+
+class TestCoverIds:
+    @pytest.mark.parametrize("size", [0, 1, 200_000])
+    def test_bytes_match_savetxt(self, tmp_path, size):
+        rng = np.random.default_rng(size)
+        ids = np.sort(rng.choice(10**9, size=size, replace=False)).astype(np.int64)
+        ours, theirs = tmp_path / "ours.txt", tmp_path / "savetxt.txt"
+        save_cover_ids(ours, ids)
+        np.savetxt(theirs, ids, fmt="%d")
+        assert ours.read_bytes() == theirs.read_bytes()
 
 
 class TestEdgelist:

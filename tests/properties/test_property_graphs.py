@@ -96,3 +96,77 @@ class TestSerializationProperties:
             assert load_npz(path) == g
         finally:
             os.unlink(path)
+
+
+def _lexsort_canonical_edges(edges_u, edges_v, *, n, allow_duplicates=True):
+    """The two-key lexsort canonicalization the int64 key sort replaced;
+    kept as the oracle for :func:`canonical_edges`."""
+    u = np.ascontiguousarray(edges_u, dtype=np.int64)
+    v = np.ascontiguousarray(edges_v, dtype=np.int64)
+    if u.size == 0:
+        return u, v
+    if (u == v).any():
+        raise ValueError(f"self-loop at vertex {int(u[u == v][0])} is not allowed")
+    if not ((u >= 0) & (v >= 0) & (u < n) & (v < n)).all():
+        raise ValueError(f"edge endpoints must lie in [0, {n})")
+    lo = np.minimum(u, v)
+    hi = np.maximum(u, v)
+    order = np.lexsort((hi, lo))
+    lo, hi = lo[order], hi[order]
+    keep = np.ones(lo.size, dtype=bool)
+    keep[1:] = (lo[1:] != lo[:-1]) | (hi[1:] != hi[:-1])
+    if not keep.all():
+        if not allow_duplicates:
+            raise ValueError("duplicate edges present and allow_duplicates=False")
+        lo, hi = lo[keep], hi[keep]
+    return lo, hi
+
+
+@st.composite
+def raw_edge_arrays(draw):
+    """Uncanonical endpoint arrays: mixed orientation, repeats (some
+    reversed), shuffled order, occasionally one invalid pair."""
+    n = draw(st.sampled_from([1, 2, 2**20]) | st.integers(3, 40))
+    pairs = []
+    if n > 1:
+        pairs = draw(
+            st.lists(
+                st.tuples(st.integers(0, n - 1), st.integers(0, n - 1)).filter(
+                    lambda p: p[0] != p[1]
+                ),
+                max_size=40,
+            )
+        )
+    if pairs:
+        repeats = draw(st.lists(st.tuples(st.sampled_from(pairs), st.booleans()), max_size=10))
+        pairs += [(v, u) if flip else (u, v) for (u, v), flip in repeats]
+    bad = draw(st.sampled_from([None, None, None, "loop", "high", "negative"]))
+    if bad is not None:
+        pairs.insert(
+            draw(st.integers(0, len(pairs))),
+            {"loop": (n - 1, n - 1), "high": (0, n), "negative": (-1, n - 1)}[bad],
+        )
+    pairs = draw(st.permutations(pairs))
+    u = np.array([p[0] for p in pairs], dtype=np.int64)
+    v = np.array([p[1] for p in pairs], dtype=np.int64)
+    return n, u, v
+
+
+def _outcome(fn, u, v, n, allow_duplicates):
+    try:
+        lo, hi = fn(u.copy(), v.copy(), n=n, allow_duplicates=allow_duplicates)
+    except ValueError as exc:
+        return ("error", str(exc))
+    return ("ok", lo.dtype, lo.tolist(), hi.dtype, hi.tolist())
+
+
+class TestCanonicalEdgesMatchesLexsort:
+    @given(raw_edge_arrays(), st.booleans())
+    @settings(max_examples=300)
+    def test_key_sort_equals_lexsort(self, case, allow_duplicates):
+        from repro.graphs.graph import canonical_edges
+
+        n, u, v = case
+        assert _outcome(canonical_edges, u, v, n, allow_duplicates) == _outcome(
+            _lexsort_canonical_edges, u, v, n, allow_duplicates
+        )

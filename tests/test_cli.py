@@ -193,6 +193,22 @@ class TestMissingInput:
         with pytest.raises(SystemExit, match="cannot read input file"):
             main(["solve", "--input", str(bad)])
 
+    def test_npz_missing_array_is_clean_error(self, tmp_path):
+        bad = tmp_path / "bad.npz"
+        np.savez_compressed(bad, n=np.int64(3), weights=np.ones(3))
+        with pytest.raises(SystemExit) as info:
+            main(["solve", "--input", str(bad)])
+        assert str(info.value.code).startswith("cannot read input file")
+        assert "'version'" in str(info.value.code)
+
+    def test_non_zip_npz_is_clean_error(self, tmp_path):
+        bad = tmp_path / "bad.npz"
+        bad.write_text("junk\n")
+        with pytest.raises(SystemExit) as info:
+            main(["solve", "--input", str(bad)])
+        assert str(info.value.code).startswith("cannot read input file")
+        assert "not a graph .npz file" in str(info.value.code)
+
     def test_stream_missing_updates_file(self, tmp_path):
         missing = tmp_path / "nope.jsonl"
         with pytest.raises(SystemExit, match="update stream not found"):
