@@ -3,11 +3,11 @@
 The MPC algorithm solves one static instance per invocation; production
 graphs mutate continuously.  This package maintains a valid, certified
 cover under edge churn and weight changes, re-solving only when the
-certificate drifts past a policy bound:
+certificate drifts past a policy bound.  One engine does it: a single
+:class:`DynamicGraph`, one :class:`IncrementalCoverMaintainer`, and one
+per-batch stream loop.  The update events themselves live in
+:mod:`repro.graphs.updates` and are re-exported here.
 
-:mod:`repro.dynamic.updates`
-    :class:`EdgeInsert` / :class:`EdgeDelete` / :class:`WeightChange`
-    events and their JSON-lines wire format.
 :mod:`repro.dynamic.dynamic_graph`
     :class:`DynamicGraph` — delta log over the immutable
     :class:`~repro.graphs.WeightedGraph`, with periodic compaction back to
@@ -15,8 +15,15 @@ certificate drifts past a policy bound:
 :mod:`repro.dynamic.maintainer`
     :class:`IncrementalCoverMaintainer` — local pricing repair + touched
     pruning + a live duality certificate.
+:mod:`repro.dynamic.repair`
+    The vectorized repair/prune/certification kernels the maintainer runs.
+:mod:`repro.dynamic.duals`
+    :class:`DualStore` — array-backed per-edge duals keyed by encoded
+    ``int64`` edge codes.
 :mod:`repro.dynamic.policy`
     :class:`ResolvePolicy` — drift-bounded re-solve trigger.
+:mod:`repro.dynamic.ingest`
+    Update sources: file, directory of segments, or memory.
 :mod:`repro.dynamic.stream`
     :func:`run_stream` — batches, policy evaluation, and warm-started
     re-solves through the batch service (``repro stream``); plus
@@ -26,23 +33,6 @@ certificate drifts past a policy bound:
     Versioned, digest-stamped snapshots of maintainer + graph state.
 :mod:`repro.dynamic.wal`
     Append-only, checksummed write-ahead log of applied update batches.
-:mod:`repro.dynamic.repair`
-    The shared repair/prune/certification kernels both engines run —
-    vectorized array passes plus the ``_reference_*`` executable specs.
-:mod:`repro.dynamic.duals`
-    :class:`DualStore` — array-backed per-edge duals keyed by encoded
-    ``int64`` edge codes.
-:mod:`repro.dynamic.ingest`
-    Pluggable update sources (file / directory segments / memory) and the
-    partition-aware :class:`~repro.dynamic.ingest.UpdateRouter`.
-:mod:`repro.dynamic.shard_worker`
-    Per-shard worker state + the one-process-per-shard pool plumbing.
-:mod:`repro.dynamic.sharded`
-    :func:`run_sharded_stream` / :func:`resume_sharded_stream` — the
-    partition-parallel pipeline behind ``repro stream --shards N``,
-    bit-identical to the monolithic engine for any shard count.
-:mod:`repro.dynamic.shard_checkpoint`
-    Shard-aware snapshots: per-shard files + a manifest commit point.
 """
 
 from repro.dynamic.checkpoint import (
@@ -65,12 +55,10 @@ from repro.dynamic.ingest import (
     DirectorySource,
     FileSource,
     MemorySource,
-    UpdateRouter,
     UpdateSource,
     iter_update_batches,
     open_update_source,
 )
-from repro.dynamic.sharded import resume_sharded_stream, run_sharded_stream
 from repro.dynamic.stream import (
     CheckpointConfig,
     StreamRecord,
@@ -87,7 +75,7 @@ from repro.dynamic.wal import (
     read_wal,
     repair_wal,
 )
-from repro.dynamic.updates import (
+from repro.graphs.updates import (
     EdgeDelete,
     EdgeInsert,
     GraphUpdate,
@@ -119,7 +107,6 @@ __all__ = [
     "RestoredState",
     "StreamRecord",
     "StreamSummary",
-    "UpdateRouter",
     "UpdateSource",
     "WALCorruptionError",
     "WALError",
@@ -134,9 +121,7 @@ __all__ = [
     "open_update_source",
     "read_wal",
     "repair_wal",
-    "resume_sharded_stream",
     "resume_stream",
-    "run_sharded_stream",
     "run_stream",
     "save_snapshot",
     "save_update_stream",

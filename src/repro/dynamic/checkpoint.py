@@ -17,7 +17,7 @@ mid-stream:
 The container is an NPZ archive (arrays stay binary; member compression is
 deflate by default and can be disabled per write — ``np.savez_compressed``
 dominates snapshot cost on large graphs — the header is one JSON string
-member), gzip-wrapped when the path ends in ``.gz``.  Format version 2
+member).  Format version 2
 stores the duals as one flat ``dual_codes`` array (the ``(u << 32) | v``
 encoding of :mod:`repro.dynamic.duals`) plus values — the
 :class:`~repro.dynamic.duals.DualStore` serializes straight into the
@@ -39,12 +39,10 @@ leaves the previous snapshot intact; see
 
 from __future__ import annotations
 
-import gzip
 import hashlib
 import io
 import json
 import os
-import zlib
 from dataclasses import dataclass
 from typing import Optional, Union
 
@@ -221,11 +219,8 @@ def save_snapshot(
     savez(buf, meta_json=np.frombuffer(
         json.dumps(meta, sort_keys=True).encode("utf-8"), dtype=np.uint8
     ), **arrays)
-    data = buf.getvalue()
-    if str(path).endswith(".gz"):
-        data = gzip.compress(data)
     try:
-        write_bytes_atomic(path, data, fsync=fsync)
+        write_bytes_atomic(path, buf.getvalue(), fsync=fsync)
     except OSError as exc:
         raise CheckpointError(f"cannot write snapshot {os.fspath(path)}: {exc}") from exc
     return digest
@@ -247,13 +242,6 @@ def _read(path: PathLike) -> _RawSnapshot:
         raise CheckpointError(f"snapshot file not found: {name}") from None
     except OSError as exc:
         raise CheckpointError(f"cannot read snapshot {name}: {exc}") from exc
-    if str(path).endswith(".gz"):
-        try:
-            data = gzip.decompress(data)
-        except (OSError, EOFError, zlib.error) as exc:
-            raise CheckpointCorruptionError(
-                f"snapshot {name}: gzip layer is damaged ({exc})"
-            ) from exc
     try:
         with np.load(io.BytesIO(data), allow_pickle=False) as archive:
             if "meta_json" not in archive:

@@ -13,13 +13,12 @@ code* ``(u << 32) | v`` instead:
   lexicographic key order).
 * **Bulk I/O** is vectorized: :meth:`to_arrays` / :meth:`from_arrays`
   encode/decode whole key columns with two shifts and a mask, so
-  checkpoint snapshots, shard scatter/gather, and the coordinator's
-  replication log move duals as flat arrays, never as pickled tuple
-  lists.
+  checkpoint snapshots and adopted solutions move duals as flat arrays,
+  never as pickled tuple lists.
 
 The tuple-keyed mapping protocol (``store[(u, v)]``, ``.get``, ``.pop``,
-iteration in insertion order) is kept so the ``_reference_*`` kernels and
-existing tests run unchanged against a store.
+iteration in insertion order) is kept so the reference-kernel test
+oracles and existing tests run unchanged against a store.
 
 Vertex ids must fit in an unsigned 32-bit lane (``0 <= v < 2**32``); the
 dynamic-graph layer enforces the far stricter practical bound at

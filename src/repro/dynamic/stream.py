@@ -40,11 +40,12 @@ whatever batch boundary the process died at (the property
 from __future__ import annotations
 
 import json
+import logging
 import os
 import re
 import time
 from dataclasses import asdict, dataclass, field
-from typing import Iterable, List, Optional, Sequence, Tuple, Union
+from typing import List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
@@ -55,6 +56,7 @@ from repro.dynamic.checkpoint import (
     save_snapshot,
 )
 from repro.dynamic.dynamic_graph import DynamicGraph
+from repro.dynamic.ingest import iter_update_batches
 from repro.dynamic.maintainer import BatchReport, IncrementalCoverMaintainer
 from repro.dynamic.policy import ResolvePolicy
 from repro.dynamic.wal import WriteAheadLog, compact_wal, read_wal, repair_wal
@@ -79,6 +81,8 @@ __all__ = [
 
 PathLike = Union[str, "os.PathLike[str]"]
 
+_log = logging.getLogger(__name__)
+
 #: Version gate of ``config.json`` in a checkpoint directory.
 CONFIG_FORMAT_VERSION = 1
 
@@ -87,7 +91,6 @@ _GRAPH_FILE = "graph.npz"
 _UPDATES_FILE = "updates.jsonl"
 _WAL_FILE = "wal.jsonl"
 _SNAPSHOT_FILE = "snapshot.npz"
-_SNAPSHOT_FILE_GZ = "snapshot.npz.gz"
 
 
 @dataclass(frozen=True)
@@ -107,8 +110,6 @@ class CheckpointConfig:
         Flush WAL records and snapshots to disk at commit time.  Keep on
         for crash-consistency against power loss; turning it off still
         survives process kills (buffers are flushed per batch).
-    compress:
-        gzip-wrap snapshots (``snapshot.npz.gz``).
     snapshot_compression:
         Compression of the NPZ array members inside a snapshot:
         ``"gzip"`` (deflate via ``np.savez_compressed``, the default) or
@@ -138,7 +139,6 @@ class CheckpointConfig:
     directory: PathLike
     snapshot_every: int = 8
     fsync: bool = True
-    compress: bool = False
     stamp_digests: bool = True
     keep_snapshots: int = 1
     compact_wal: bool = False
@@ -182,15 +182,12 @@ class CheckpointConfig:
 
     @property
     def snapshot_path(self) -> str:
-        name = _SNAPSHOT_FILE_GZ if self.compress else _SNAPSHOT_FILE
-        return os.path.join(os.fspath(self.directory), name)
+        return os.path.join(os.fspath(self.directory), _SNAPSHOT_FILE)
 
     def numbered_snapshot_path(self, next_batch_index: int) -> str:
         """Rotated snapshot filename for ``keep_snapshots > 1`` runs."""
-        suffix = ".npz.gz" if self.compress else ".npz"
         return os.path.join(
-            os.fspath(self.directory),
-            f"snapshot-{int(next_batch_index):08d}{suffix}",
+            os.fspath(self.directory), f"snapshot-{int(next_batch_index):08d}.npz"
         )
 
     def list_snapshots(self) -> List[Tuple[int, str]]:
@@ -207,15 +204,14 @@ class CheckpointConfig:
             names = os.listdir(directory)
         except FileNotFoundError:
             return []
-        pattern = re.compile(r"^snapshot-(\d{8,})\.npz(?:\.gz)?$")
+        pattern = re.compile(r"^snapshot-(\d{8,})\.npz$")
         for name in names:
             match = pattern.match(name)
             if match:
                 out.append((int(match.group(1)), os.path.join(directory, name)))
         out.sort(reverse=True)
-        for legacy in (_SNAPSHOT_FILE, _SNAPSHOT_FILE_GZ):
-            if legacy in names:
-                out.append((-1, os.path.join(directory, legacy)))
+        if _SNAPSHOT_FILE in names:
+            out.append((-1, os.path.join(directory, _SNAPSHOT_FILE)))
         return out
 
 
@@ -267,23 +263,16 @@ class StreamSummary:
     snapshot.  ``final_cover`` is the maintained cover mask itself
     (excluded from ``summary()``; written by ``--cover-out``).
 
-    ``ingest_s``/``repair_s``/``resolve_s`` split the wall clock so shard
-    speedups are attributable: time spent getting updates into the engine
-    (routing, WAL commits, scatter), time spent applying/repairing/pruning
-    (the incremental path), and time spent in triggered full re-solves.
-    The three do not sum to ``elapsed_s`` — verification, snapshots and
-    bookkeeping are outside all three buckets.
+    ``ingest_s``/``repair_s``/``resolve_s`` split the wall clock: time
+    spent getting updates into the engine (WAL commits and digest
+    stamps), time spent applying/repairing/pruning (the incremental path),
+    and time spent in triggered full re-solves.  The three do not sum to
+    ``elapsed_s`` — verification, snapshots and bookkeeping are outside
+    all three buckets.
 
     ``kernel_profile`` (``profile=True`` runs only) splits ``repair_s``
     further by kernel: adjacency maintenance, pricing repair, greedy
-    prune, and certificate computation, summed over every batch.  In
-    *sharded* runs the buckets follow the two-round protocol: the whole
-    shard apply round (local adjacency updates + uncovered detection)
-    plus the coordinator's effects replay land in ``adjacency_s``,
-    ``repair_s`` is the coordinator's merged pricing pass only, and
-    ``prune_s`` covers round 2 (shard-local interior prunes + the
-    boundary prune) — compare profiles across shard counts with that in
-    mind.
+    prune, and certificate computation, summed over every batch.
     """
 
     num_updates: int
@@ -328,28 +317,8 @@ class StreamSummary:
         return row
 
 
-def _compact_wal_in_place(
-    checkpoint: CheckpointConfig, wal: WriteAheadLog, retained_floor: int
-) -> WriteAheadLog:
-    """Compact the live WAL below ``retained_floor``; returns the new handle.
-
-    The engine's append handle points at the pre-rewrite inode, so it is
-    closed around the atomic rewrite and a fresh one opened on the new
-    file.  Shared by the monolithic and sharded engines.
-    """
-    wal.close()
-    compact_wal(checkpoint.wal_path, retained_floor, fsync=checkpoint.fsync)
-    return WriteAheadLog(checkpoint.wal_path, fsync=checkpoint.fsync)
-
-
-def _batches(updates: Sequence[GraphUpdate], size: int) -> Iterable[List[GraphUpdate]]:
-    from repro.dynamic.ingest import iter_update_batches
-
-    return iter_update_batches(updates, size)
-
-
 class _StreamEngine:
-    """Shared per-batch machinery of ``run_stream`` and ``resume_stream``.
+    """The per-batch loop of ``run_stream`` and ``resume_stream``.
 
     Owns the mutable counters (stream position, cooldown, re-solve tally)
     and performs one batch end-to-end: optional WAL commit *before* the
@@ -445,7 +414,11 @@ class _StreamEngine:
             if retained:
                 retained_floor = min(i for i, _ in retained)
         if checkpoint.compact_wal and self.wal is not None:
-            self.wal = _compact_wal_in_place(checkpoint, self.wal, retained_floor)
+            # The append handle points at the pre-rewrite inode: close it
+            # around the atomic rewrite and reopen on the new file.
+            self.wal.close()
+            compact_wal(checkpoint.wal_path, retained_floor, fsync=checkpoint.fsync)
+            self.wal = WriteAheadLog(checkpoint.wal_path, fsync=checkpoint.fsync)
 
     # -- one batch ------------------------------------------------------- #
     def process_batch(
@@ -494,6 +467,16 @@ class _StreamEngine:
         ):
             self.write_snapshot(index + 1)
         return record
+
+    def run(
+        self, updates: Sequence[GraphUpdate], batch_size: int, start_index: int
+    ) -> None:
+        """Log and process ``updates`` batch by batch, then snapshot."""
+        index = start_index
+        for batch in iter_update_batches(updates, batch_size):
+            self.process_batch(index, batch, log_to_wal=True)
+            index += 1
+        self.write_snapshot(index)
 
     # -- the summary ----------------------------------------------------- #
     def summarize(
@@ -550,7 +533,6 @@ def _write_config(
         "snapshot_every": int(checkpoint.snapshot_every),
         "fsync": bool(checkpoint.fsync),
         "stamp_digests": bool(checkpoint.stamp_digests),
-        "compress": bool(checkpoint.compress),
         "keep_snapshots": int(checkpoint.keep_snapshots),
         "compact_wal": bool(checkpoint.compact_wal),
         "snapshot_compression": str(checkpoint.snapshot_compression),
@@ -607,7 +589,7 @@ def run_stream(
     graph:
         Initial graph; solved once up front to seed the maintainer.
     updates:
-        The update stream (see :mod:`repro.dynamic.updates`).
+        The update stream (see :mod:`repro.graphs.updates`).
     batch_size:
         Updates per repair batch (the granularity of policy evaluation).
     policy:
@@ -687,9 +669,7 @@ def run_stream(
         if graph.m:
             engine_.resolve()
         engine_.write_snapshot(0)
-        for index, batch in enumerate(_batches(updates, batch_size)):
-            engine_.process_batch(index, batch, log_to_wal=True)
-        engine_.write_snapshot(len(engine_.records))
+        engine_.run(updates, batch_size, 0)
     finally:
         if wal is not None:
             wal.close()
@@ -698,83 +678,6 @@ def run_stream(
 
     return engine_.summarize(
         num_updates=len(updates), elapsed_s=time.perf_counter() - start
-    )
-
-
-def _resume_setup(
-    directory: PathLike,
-    config: dict,
-    updates: Optional[Sequence[GraphUpdate]],
-):
-    """Rebuild the run context every resume path needs from ``config``.
-
-    Shared by :func:`resume_stream` and
-    :func:`repro.dynamic.sharded.resume_sharded_stream` so a new
-    :class:`CheckpointConfig` knob is threaded through exactly once.
-    Returns ``(checkpoint, policy, batch_size, updates, wal_records)``
-    with the WAL's torn tail already repaired.
-    """
-    checkpoint = CheckpointConfig(
-        directory=directory,
-        snapshot_every=int(config["snapshot_every"]),
-        fsync=bool(config.get("fsync", True)),
-        compress=bool(config.get("compress", False)),
-        stamp_digests=bool(config.get("stamp_digests", True)),
-        keep_snapshots=int(config.get("keep_snapshots", 1)),
-        compact_wal=bool(config.get("compact_wal", False)),
-        snapshot_compression=str(config.get("snapshot_compression", "gzip")),
-    )
-    policy = ResolvePolicy(**config["policy"])
-    batch_size = int(config["batch_size"])
-
-    if updates is None:
-        try:
-            updates = load_update_stream(checkpoint.updates_path)
-        except FileNotFoundError:
-            raise CheckpointError(
-                f"checkpoint {os.fspath(directory)} has no stored update "
-                f"stream ({_UPDATES_FILE}); pass the stream explicitly"
-            ) from None
-    if len(updates) != int(config["num_updates"]):
-        raise CheckpointError(
-            f"update stream length {len(updates)} does not match the "
-            f"checkpointed run's {config['num_updates']}"
-        )
-
-    repair_wal(checkpoint.wal_path)
-    wal_records, _ = read_wal(checkpoint.wal_path)
-    return checkpoint, policy, batch_size, updates, wal_records
-
-
-def _newest_intact(snapshots, load_fn, directory: PathLike):
-    """Load the newest snapshot that passes integrity checks.
-
-    The shared fallback policy of both snapshot flavors: with
-    ``keep_snapshots > 1`` a corrupt newest snapshot falls back to the
-    next older one — that is what retaining history is *for*.  When every
-    present snapshot is corrupt the aggregate corruption error is raised
-    (a damaged checkpoint must fail loudly, never silently cold-start
-    past it); version errors always raise immediately.  ``None`` when no
-    snapshots exist.
-    """
-    if not snapshots:
-        return None
-    last_error: Optional[CheckpointCorruptionError] = None
-    for _, path in snapshots:
-        try:
-            return load_fn(path)
-        except CheckpointCorruptionError as exc:
-            last_error = exc
-    raise CheckpointCorruptionError(
-        f"all {len(snapshots)} snapshot(s) in {os.fspath(directory)} "
-        f"failed integrity checks; newest error: {last_error}"
-    )
-
-
-def _restore_latest_snapshot(checkpoint: CheckpointConfig):
-    """Newest intact monolithic snapshot, or ``None`` when none exist."""
-    return _newest_intact(
-        checkpoint.list_snapshots(), load_snapshot, checkpoint.directory
     )
 
 
@@ -795,6 +698,18 @@ def _load_config(checkpoint: CheckpointConfig) -> dict:
             f"{checkpoint.config_path}: config format version {version!r} is "
             f"not supported (this build reads version {CONFIG_FORMAT_VERSION})"
         )
+    if "shards" in config:
+        raise CheckpointError(
+            f"sharded checkpoints are no longer supported "
+            f"({checkpoint.config_path} has a 'shards' key); re-run the "
+            f"stream into a fresh checkpoint directory"
+        )
+    if config.get("compress", False):
+        raise CheckpointError(
+            f"gzip-wrapped snapshots are no longer supported "
+            f"({checkpoint.config_path} sets \"compress\": true); re-run the "
+            f"stream into a fresh checkpoint directory"
+        )
     return config
 
 
@@ -813,10 +728,12 @@ def resume_stream(
        no flags to re-specify);
     2. repair a torn WAL tail (a record cut mid-write was never
        committed), then read the committed records;
-    3. restore the latest snapshot — or, when the snapshot file is
-       *missing*, cold-start from ``graph.npz`` and replay the WAL from
-       batch 0 (a corrupt snapshot raises instead: a damaged checkpoint
-       must never silently restore);
+    3. restore the newest intact snapshot — a corrupt newer one is skipped
+       with a warning on this module's logger in favour of an older one
+       (what ``keep_snapshots > 1`` retains history for), but when every
+       snapshot is corrupt the error is raised: a damaged checkpoint must
+       never silently restore.  When *no* snapshot file exists,
+       cold-start from ``graph.npz`` and replay the WAL from batch 0;
     4. replay the WAL records past the snapshot through the exact
        per-batch machinery of :func:`run_stream` (each record's pre-apply
        digest is verified when stamped);
@@ -845,16 +762,32 @@ def resume_stream(
         mismatch).
     """
     config = _load_config(CheckpointConfig(directory=directory))
-    if "shards" in config:
-        raise CheckpointError(
-            f"checkpoint {os.fspath(directory)} holds a sharded stream "
-            f"({config['shards']} shard(s)); resume it with "
-            f"repro.dynamic.sharded.resume_sharded_stream (the `repro "
-            f"resume` CLI dispatches automatically)"
-        )
-    checkpoint, policy, batch_size, updates, wal_records = _resume_setup(
-        directory, config, updates
+    checkpoint = CheckpointConfig(
+        directory=directory,
+        snapshot_every=int(config["snapshot_every"]),
+        fsync=bool(config.get("fsync", True)),
+        stamp_digests=bool(config.get("stamp_digests", True)),
+        keep_snapshots=int(config.get("keep_snapshots", 1)),
+        compact_wal=bool(config.get("compact_wal", False)),
+        snapshot_compression=str(config.get("snapshot_compression", "gzip")),
     )
+    policy = ResolvePolicy(**config["policy"])
+    batch_size = int(config["batch_size"])
+    if updates is None:
+        try:
+            updates = load_update_stream(checkpoint.updates_path)
+        except FileNotFoundError:
+            raise CheckpointError(
+                f"checkpoint {os.fspath(directory)} has no stored update "
+                f"stream ({_UPDATES_FILE}); pass the stream explicitly"
+            ) from None
+    if len(updates) != int(config["num_updates"]):
+        raise CheckpointError(
+            f"update stream length {len(updates)} does not match the "
+            f"checkpointed run's {config['num_updates']}"
+        )
+    repair_wal(checkpoint.wal_path)
+    wal_records, _ = read_wal(checkpoint.wal_path)
 
     own_solver = solver is None
     if own_solver:
@@ -862,7 +795,26 @@ def resume_stream(
     start = time.perf_counter()
     wal = None
     try:
-        restored = _restore_latest_snapshot(checkpoint)
+        # Version errors are not corruption: they always raise at once.
+        restored = None
+        snapshots = checkpoint.list_snapshots()
+        for position, (_, path) in enumerate(snapshots):
+            try:
+                restored = load_snapshot(path)
+                break
+            except CheckpointCorruptionError as exc:
+                if position + 1 == len(snapshots):
+                    raise CheckpointCorruptionError(
+                        f"all {len(snapshots)} snapshot(s) in "
+                        f"{os.fspath(directory)} failed integrity checks; "
+                        f"oldest error: {exc}"
+                    ) from exc
+                _log.warning(
+                    "skipping corrupt snapshot %s (%s); falling back to an "
+                    "older snapshot",
+                    path,
+                    exc,
+                )
         if restored is not None:
             maintainer = restored.maintainer
             maintainer.set_profiling(profile)
@@ -945,12 +897,7 @@ def resume_stream(
         # ---- continue with the uncommitted remainder ------------------ #
         wal = WriteAheadLog(checkpoint.wal_path, fsync=checkpoint.fsync)
         engine_.wal = wal
-        remainder = updates[engine_.updates_applied :]
-        next_index = expected
-        for offset, batch in enumerate(_batches(remainder, batch_size)):
-            engine_.process_batch(expected + offset, batch, log_to_wal=True)
-            next_index = expected + offset + 1
-        engine_.write_snapshot(next_index)
+        engine_.run(updates[engine_.updates_applied :], batch_size, expected)
     finally:
         if wal is not None:
             wal.close()

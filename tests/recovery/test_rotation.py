@@ -1,5 +1,6 @@
 """Snapshot rotation (``keep_snapshots``) and WAL compaction."""
 
+import logging
 import os
 
 import numpy as np
@@ -10,6 +11,7 @@ from repro.dynamic import (
     CheckpointCorruptionError,
     ResolvePolicy,
     compact_wal,
+    load_snapshot,
     read_wal,
     resume_stream,
     run_stream,
@@ -87,6 +89,31 @@ class TestRotation:
         # Fell back to the batch-8 snapshot and replayed the WAL tail.
         assert resumed.resumed_from_batch == 8
         assert np.array_equal(resumed.final_cover, reference.final_cover)
+
+    def test_fallback_logs_the_skipped_snapshot(self, tmp_path, caplog):
+        _, _, reference, checkpoint = _run(tmp_path, keep_snapshots=2)
+        newest = os.path.join(
+            os.fspath(checkpoint.directory), "snapshot-00000010.npz"
+        )
+        with open(newest, "r+b") as fh:
+            fh.seek(20)
+            fh.write(b"\xff" * 16)
+        with pytest.raises(CheckpointCorruptionError) as error:
+            load_snapshot(newest)
+        with caplog.at_level(logging.WARNING, logger="repro.dynamic.stream"):
+            resumed = resume_stream(checkpoint.directory)
+        warnings = [
+            r for r in caplog.records
+            if r.name == "repro.dynamic.stream" and r.levelno == logging.WARNING
+        ]
+        assert len(warnings) == 1
+        message = warnings[0].getMessage()
+        assert newest in message
+        assert str(error.value) in message
+        assert resumed.resumed_from_batch == 8
+        assert np.array_equal(resumed.final_cover, reference.final_cover)
+        assert resumed.final_cover_weight == reference.final_cover_weight
+        assert resumed.final_dual_value == reference.final_dual_value
 
     def test_all_corrupt_raises(self, tmp_path):
         _, _, _, checkpoint = _run(tmp_path, keep_snapshots=2)

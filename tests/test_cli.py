@@ -260,3 +260,44 @@ class TestStream:
         with pytest.raises(SystemExit, match="max_drift"):
             main(["stream", "--family", "gnp", "--n", "60", "--degree", "4",
                   "--seed", "5", "--num-updates", "10", "--max-drift", "-1"])
+
+
+class TestRetiredCheckpointConfigs:
+    """Checkpoints written with sharding or gzip-wrapped snapshots fail loudly."""
+
+    @pytest.fixture
+    def checkpoint_dir(self, tmp_path, capsys):
+        directory = tmp_path / "ckpt"
+        rc = main(["stream", "--family", "gnp", "--n", "80", "--degree", "5",
+                   "--seed", "1", "--num-updates", "60", "--batch-size", "20",
+                   "--checkpoint-dir", str(directory), "--no-fsync"])
+        assert rc == 0
+        capsys.readouterr()
+        return directory
+
+    @staticmethod
+    def _patch_config(directory, **keys):
+        path = directory / "config.json"
+        config = json.loads(path.read_text())
+        config.update(keys)
+        path.write_text(json.dumps(config))
+
+    @pytest.mark.parametrize("command", ["resume", "wal-compact"])
+    @pytest.mark.parametrize(
+        "keys, detail",
+        [({"shards": 2, "partition": "hash"}, "sharded checkpoints"),
+         ({"compress": True}, "gzip-wrapped snapshots")],
+        ids=["shards", "compress"],
+    )
+    def test_rejected_with_message(self, checkpoint_dir, command, keys, detail):
+        self._patch_config(checkpoint_dir, **keys)
+        with pytest.raises(SystemExit) as info:
+            main([command, "--checkpoint-dir", str(checkpoint_dir)])
+        message = str(info.value.code)
+        assert info.value.code != 0
+        assert f"{detail} are no longer supported" in message
+
+    def test_compress_false_still_resumes(self, checkpoint_dir, capsys):
+        self._patch_config(checkpoint_dir, compress=False)
+        assert main(["resume", "--checkpoint-dir", str(checkpoint_dir)]) == 0
+        assert json.loads(capsys.readouterr().out)["final_is_cover"] is True
