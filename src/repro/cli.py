@@ -388,7 +388,6 @@ def _cmd_stream(args) -> int:
                 engine=args.engine,
                 verify_every=args.verify_every,
                 checkpoint=checkpoint,
-                profile=args.profile,
             )
         except (ValueError, RuntimeError, CheckpointError, WALError) as exc:
             raise SystemExit(str(exc))
@@ -438,7 +437,6 @@ def _cmd_resume(args) -> int:
                 args.checkpoint_dir,
                 updates=updates,
                 solver=solver,
-                profile=args.profile,
             )
         except (ValueError, RuntimeError, CheckpointError, WALError) as exc:
             raise SystemExit(str(exc))
@@ -661,11 +659,6 @@ def build_parser() -> argparse.ArgumentParser:
         "'gzip' (smaller files) or 'none' (faster writes — deflate "
         "dominates snapshot cost on large graphs)",
     )
-    stream.add_argument(
-        "--profile", action="store_true",
-        help="emit the per-batch kernel timing breakdown (repair / prune / "
-        "adjacency / certificate) in every record and the summary",
-    )
     stream.set_defaults(func=_cmd_stream)
 
     resume = sub.add_parser(
@@ -697,11 +690,6 @@ def build_parser() -> argparse.ArgumentParser:
     resume.add_argument(
         "--cover-out", default=None,
         help="write the final cover vertex ids to this file",
-    )
-    resume.add_argument(
-        "--profile", action="store_true",
-        help="emit the per-batch kernel timing breakdown in every record "
-        "and the summary",
     )
     resume.set_defaults(func=_cmd_resume)
 

@@ -23,7 +23,7 @@ per-batch stream loop.  The update events themselves live in
 :mod:`repro.dynamic.policy`
     :class:`ResolvePolicy` — drift-bounded re-solve trigger.
 :mod:`repro.dynamic.ingest`
-    Update sources: file, directory of segments, or memory.
+    Update sources: a JSON-lines file or a directory of segments.
 :mod:`repro.dynamic.stream`
     :func:`run_stream` — batches, policy evaluation, and warm-started
     re-solves through the batch service (``repro stream``); plus
@@ -45,16 +45,11 @@ from repro.dynamic.checkpoint import (
 )
 from repro.dynamic.duals import DualStore, decode_edge_codes, encode_edge_codes
 from repro.dynamic.dynamic_graph import DynamicGraph
-from repro.dynamic.maintainer import (
-    KERNEL_PROFILE_KEYS,
-    BatchReport,
-    IncrementalCoverMaintainer,
-)
+from repro.dynamic.maintainer import BatchReport, IncrementalCoverMaintainer
 from repro.dynamic.policy import ResolveDecision, ResolvePolicy
 from repro.dynamic.ingest import (
     DirectorySource,
     FileSource,
-    MemorySource,
     UpdateSource,
     iter_update_batches,
     open_update_source,
@@ -63,6 +58,7 @@ from repro.dynamic.stream import (
     CheckpointConfig,
     StreamRecord,
     StreamSummary,
+    TIMING_KEYS,
     resume_stream,
     run_stream,
 )
@@ -100,13 +96,12 @@ __all__ = [
     "FileSource",
     "GraphUpdate",
     "IncrementalCoverMaintainer",
-    "KERNEL_PROFILE_KEYS",
-    "MemorySource",
     "ResolveDecision",
     "ResolvePolicy",
     "RestoredState",
     "StreamRecord",
     "StreamSummary",
+    "TIMING_KEYS",
     "UpdateSource",
     "WALCorruptionError",
     "WALError",

@@ -1,12 +1,10 @@
-"""Ingestion layer: pluggable update sources.
+"""Ingestion layer: update sources on disk.
 
-A stream may arrive as an in-memory sequence, a JSON-lines file (plain or
-gzipped), or a directory of numbered segment files (the shape a
-log-shipping producer writes — see
-:func:`repro.graphs.updates.save_update_stream_segments`).
-:func:`open_update_source` coerces any of those into an
-:class:`UpdateSource`, and :func:`iter_update_batches` chops one into
-repair batches.
+A stream may arrive as a JSON-lines file (plain or gzipped) or a
+directory of numbered segment files (the shape a log-shipping producer
+writes — see :func:`repro.graphs.updates.save_update_stream_segments`).
+:func:`open_update_source` opens either as an :class:`UpdateSource`, and
+:func:`iter_update_batches` chops a decoded sequence into repair batches.
 """
 
 from __future__ import annotations
@@ -14,15 +12,13 @@ from __future__ import annotations
 import glob
 import os
 import re
-from typing import Iterable, Iterator, List, Optional, Sequence, Union
+from typing import Iterator, List, Sequence, Union
 
 from repro.graphs.updates import GraphUpdate, load_update_stream
 
 __all__ = [
     "DirectorySource",
     "FileSource",
-    "IterableSource",
-    "MemorySource",
     "UpdateSource",
     "iter_update_batches",
     "open_update_source",
@@ -37,29 +33,9 @@ class UpdateSource:
     def __iter__(self) -> Iterator[GraphUpdate]:  # pragma: no cover - abstract
         raise NotImplementedError
 
-    def count(self) -> Optional[int]:
-        """Number of events, when knowable without consuming the source."""
-        return None
-
     def collect(self) -> List[GraphUpdate]:
-        """Materialize the source as a list (consumes one-shot sources)."""
+        """Decode the whole source into a list."""
         return list(self)
-
-
-class MemorySource(UpdateSource):
-    """An in-memory sequence of events."""
-
-    def __init__(self, updates: Sequence[GraphUpdate]):
-        self._updates = list(updates)
-
-    def __iter__(self) -> Iterator[GraphUpdate]:
-        return iter(self._updates)
-
-    def count(self) -> int:
-        return len(self._updates)
-
-    def collect(self) -> List[GraphUpdate]:
-        return list(self._updates)
 
 
 class FileSource(UpdateSource):
@@ -110,23 +86,10 @@ class DirectorySource(UpdateSource):
             yield from load_update_stream(path)
 
 
-class IterableSource(UpdateSource):
-    """A one-shot iterator of events (consumed on first traversal)."""
+def open_update_source(spec: Union[UpdateSource, PathLike]) -> UpdateSource:
+    """Open a path (file or directory of segments) as an :class:`UpdateSource`.
 
-    def __init__(self, iterable: Iterable[GraphUpdate]):
-        self._iterable = iterable
-
-    def __iter__(self) -> Iterator[GraphUpdate]:
-        return iter(self._iterable)
-
-
-def open_update_source(
-    spec: Union[UpdateSource, Sequence[GraphUpdate], Iterable[GraphUpdate], PathLike]
-) -> UpdateSource:
-    """Coerce ``spec`` into an :class:`UpdateSource`.
-
-    Accepts an existing source, a path (file or directory), a sequence of
-    events, or any iterable of events.
+    An existing source is returned as is.
     """
     if isinstance(spec, UpdateSource):
         return spec
@@ -135,25 +98,14 @@ def open_update_source(
         if os.path.isdir(path):
             return DirectorySource(path)
         return FileSource(path)
-    if isinstance(spec, Sequence):
-        return MemorySource(spec)
-    if isinstance(spec, Iterable):
-        return IterableSource(spec)
     raise TypeError(f"cannot read updates from {type(spec).__name__}")
 
 
 def iter_update_batches(
-    source: Union[UpdateSource, Sequence[GraphUpdate], PathLike],
-    batch_size: int,
+    updates: Sequence[GraphUpdate], batch_size: int
 ) -> Iterator[List[GraphUpdate]]:
-    """Chop a source into lists of at most ``batch_size`` events."""
+    """Slice ``updates`` into lists of at most ``batch_size`` events."""
     if batch_size < 1:
         raise ValueError(f"batch_size must be >= 1, got {batch_size}")
-    batch: List[GraphUpdate] = []
-    for upd in open_update_source(source):
-        batch.append(upd)
-        if len(batch) >= batch_size:
-            yield batch
-            batch = []
-    if batch:
-        yield batch
+    for start in range(0, len(updates), batch_size):
+        yield list(updates[start : start + batch_size])

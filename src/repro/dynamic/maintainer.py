@@ -55,14 +55,11 @@ from repro.dynamic.repair import (
 )
 from repro.graphs.updates import EdgeDelete, EdgeInsert, GraphUpdate, WeightChange
 
-__all__ = ["IncrementalCoverMaintainer", "BatchReport", "KERNEL_PROFILE_KEYS"]
+__all__ = ["IncrementalCoverMaintainer", "BatchReport"]
 
 #: Relative tolerance for "residual weight is exhausted" decisions
 #: (the shared constant of :mod:`repro.dynamic.repair`).
 _RESIDUAL_RTOL = RESIDUAL_RTOL
-
-#: Sections of the per-batch kernel timing breakdown (``profile=True``).
-KERNEL_PROFILE_KEYS = ("adjacency_s", "repair_s", "prune_s", "certificate_s")
 
 
 @dataclass(frozen=True)
@@ -172,16 +169,14 @@ class IncrementalCoverMaintainer:
     On an edgeless initial graph :meth:`adopt` is optional — the empty
     cover is trivially valid and repairs bootstrap the duals from zero.
 
-    Parameters
-    ----------
-    profile:
-        Accumulate a per-batch kernel timing breakdown
-        (:data:`KERNEL_PROFILE_KEYS`) in :attr:`kernel_profile` /
-        :attr:`last_batch_profile`.  Off by default: the hot path stays
-        timer-free.
+    After every :meth:`apply_batch`, :attr:`last_batch_timings` holds that
+    batch's wall seconds by section: ``adjacency_s`` (event apply and
+    delta-log compaction), ``repair_s`` (pricing repair), ``prune_s`` and
+    ``certificate_s``.  Adding them up across batches is the stream
+    engine's job.
     """
 
-    def __init__(self, dyn: DynamicGraph, *, profile: bool = False):
+    def __init__(self, dyn: DynamicGraph):
         self.dyn = dyn
         n = dyn.n
         self._cover = np.zeros(n, dtype=bool)
@@ -190,22 +185,13 @@ class IncrementalCoverMaintainer:
         self._dual_value = 0.0
         self._base_ratio: Optional[float] = None
         self._batches = 0
-        self._init_profile(profile)
+        self.last_batch_timings: Optional[Dict[str, float]] = None
         if dyn.m:
             # A nonempty graph has no valid empty cover; start from the
             # trivial all-vertices cover (duals empty → ratio inf) so the
             # validity invariant holds from the first moment.  Callers are
             # expected to adopt() a real solution before streaming.
             self._cover[:] = True
-
-    def _init_profile(self, profile: bool) -> None:
-        self._profile = bool(profile)
-        self._profile_acc: Dict[str, float] = {k: 0.0 for k in KERNEL_PROFILE_KEYS}
-        self.last_batch_profile: Optional[Dict[str, float]] = None
-
-    def set_profiling(self, enabled: bool) -> None:
-        """Switch kernel profiling on/off (resets the accumulated split)."""
-        self._init_profile(enabled)
 
     # ------------------------------------------------------------------ #
     # state accessors
@@ -234,11 +220,6 @@ class IncrementalCoverMaintainer:
     def batches_applied(self) -> int:
         """Number of :meth:`apply_batch` calls so far."""
         return self._batches
-
-    @property
-    def kernel_profile(self) -> Optional[Dict[str, float]]:
-        """Cumulative kernel timing breakdown (``None`` unless profiling)."""
-        return dict(self._profile_acc) if self._profile else None
 
     def edge_duals(self) -> Dict[Tuple[int, int], float]:
         """Nonzero per-edge duals keyed by canonical endpoint pair (copy)."""
@@ -280,8 +261,6 @@ class IncrementalCoverMaintainer:
         cls,
         dyn: DynamicGraph,
         state: dict,
-        *,
-        profile: bool = False,
     ) -> "IncrementalCoverMaintainer":
         """Reconstruct a maintainer around ``dyn`` from :meth:`export_state`.
 
@@ -320,7 +299,7 @@ class IncrementalCoverMaintainer:
         base = state["base_ratio"]
         maintainer._base_ratio = None if base is None else float(base)
         maintainer._batches = int(state["batches_applied"])
-        maintainer._init_profile(profile)
+        maintainer.last_batch_timings = None
         return maintainer
 
     # ------------------------------------------------------------------ #
@@ -442,8 +421,7 @@ class IncrementalCoverMaintainer:
         """
         updates = list(updates)
         dyn = self.dyn
-        profiling = self._profile
-        t_mark = time.perf_counter() if profiling else 0.0
+        t_start = time.perf_counter()
         applied = inserts = deletes = reweights = 0
         retired = 0.0
         touched: Set[int] = set()
@@ -468,28 +446,19 @@ class IncrementalCoverMaintainer:
             elif isinstance(upd, WeightChange):
                 reweights += 1
                 touched.add(int(upd.v))
-        if profiling:
-            now = time.perf_counter()
-            adjacency_s, t_mark = now - t_mark, now
+        t_applied = time.perf_counter()
 
         repaired, entered = self._repair(uncovered)
         touched |= entered
-        if profiling:
-            now = time.perf_counter()
-            repair_s, t_mark = now - t_mark, now
+        t_repaired = time.perf_counter()
         pruned = self._prune_touched(touched)
-        if profiling:
-            now = time.perf_counter()
-            prune_s, t_mark = now - t_mark, now
+        t_pruned = time.perf_counter()
         # Amortized: fold the delta log into a fresh snapshot once it
         # outgrows the base (the maintainer's edge-code-keyed state is
         # snapshot-independent, so compaction is invisible here).  Booked
         # under adjacency_s — it is CSR maintenance, not prune work.
         self.dyn.maybe_compact()
-        if profiling:
-            now = time.perf_counter()
-            adjacency_s += now - t_mark
-            t_mark = now
+        t_compacted = time.perf_counter()
 
         self._batches += 1
         cert = self.certificate()
@@ -506,18 +475,12 @@ class IncrementalCoverMaintainer:
             certificate=cert,
             drift=self.drift(),
         )
-        if profiling:
-            certificate_s = time.perf_counter() - t_mark
-            delta = {
-                "adjacency_s": adjacency_s,
-                "repair_s": repair_s,
-                "prune_s": prune_s,
-                "certificate_s": certificate_s,
-            }
-            acc = self._profile_acc
-            for key, value in delta.items():
-                acc[key] += value
-            self.last_batch_profile = delta
+        self.last_batch_timings = {
+            "adjacency_s": (t_applied - t_start) + (t_compacted - t_pruned),
+            "repair_s": t_repaired - t_applied,
+            "prune_s": t_pruned - t_repaired,
+            "certificate_s": time.perf_counter() - t_compacted,
+        }
         return report
 
     def _retire_dual(self, key: Tuple[int, int]) -> float:

@@ -45,7 +45,7 @@ import os
 import re
 import time
 from dataclasses import asdict, dataclass, field
-from typing import List, Optional, Sequence, Tuple, Union
+from typing import Dict, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
@@ -75,6 +75,7 @@ __all__ = [
     "CheckpointConfig",
     "StreamRecord",
     "StreamSummary",
+    "TIMING_KEYS",
     "resume_stream",
     "run_stream",
 ]
@@ -91,6 +92,24 @@ _GRAPH_FILE = "graph.npz"
 _UPDATES_FILE = "updates.jsonl"
 _WAL_FILE = "wal.jsonl"
 _SNAPSHOT_FILE = "snapshot.npz"
+
+#: The wall-clock buckets of every :class:`StreamRecord` and the
+#: :class:`StreamSummary`, in pipeline order: the WAL append with its
+#: pre-apply digest stamp, the maintainer's four sections of
+#: :meth:`~repro.dynamic.IncrementalCoverMaintainer.apply_batch`, and
+#: triggered full re-solves.
+TIMING_KEYS = (
+    "wal_s",
+    "adjacency_s",
+    "repair_s",
+    "prune_s",
+    "certificate_s",
+    "resolve_s",
+)
+
+
+def _rounded(timings: dict) -> dict:
+    return {key: round(value, 6) for key, value in timings.items()}
 
 
 @dataclass(frozen=True)
@@ -117,10 +136,6 @@ class CheckpointConfig:
         wall clock on large graphs; ``"none"`` trades file size for write
         speed.  Recorded in ``config.json`` so a resumed run keeps the
         same policy.
-    stamp_digests:
-        Stamp each WAL record with the pre-apply graph content digest so
-        replay verifies, record by record, that it rebuilds the exact
-        state the original run saw.  Costs one O(m) hash per batch.
     keep_snapshots:
         Retain the last this-many snapshots instead of one.  With ``1``
         (the default) the single ``snapshot.npz`` is overwritten in place,
@@ -139,7 +154,6 @@ class CheckpointConfig:
     directory: PathLike
     snapshot_every: int = 8
     fsync: bool = True
-    stamp_digests: bool = True
     keep_snapshots: int = 1
     compact_wal: bool = False
     snapshot_compression: str = "gzip"
@@ -219,9 +233,12 @@ class CheckpointConfig:
 class StreamRecord:
     """One processed batch: maintainer report + policy outcome + timing.
 
-    ``kernel_profile`` (``--profile`` runs only) is this batch's kernel
-    timing breakdown — repair / prune / adjacency / certificate seconds —
-    so per-batch regressions are attributable, not just wall clock.
+    ``timings`` splits the batch's wall clock into the :data:`TIMING_KEYS`
+    buckets, so per-batch regressions are attributable, not just wall
+    clock.  ``wal_s`` is zero for replayed and non-durable batches and
+    ``resolve_s`` is zero unless the batch triggered a re-solve.
+    ``elapsed_s`` runs from the WAL commit to the end of the batch, so
+    the other five buckets sum to at most ``elapsed_s``.
     """
 
     batch_index: int
@@ -231,7 +248,7 @@ class StreamRecord:
     resolve_cache_hit: bool
     certified_ratio_after: float
     elapsed_s: float
-    kernel_profile: Optional[dict] = None
+    timings: Dict[str, float]
 
     def summary(self) -> dict:
         """Flat JSON-friendly row (one line of ``repro stream --out``)."""
@@ -244,12 +261,9 @@ class StreamRecord:
                 "resolve_cache_hit": self.resolve_cache_hit,
                 "certified_ratio_after": self.certified_ratio_after,
                 "elapsed_s": round(self.elapsed_s, 6),
+                "timings": _rounded(self.timings),
             }
         )
-        if self.kernel_profile is not None:
-            row["kernel_profile"] = {
-                k: round(v, 6) for k, v in self.kernel_profile.items()
-            }
         return row
 
 
@@ -263,16 +277,10 @@ class StreamSummary:
     snapshot.  ``final_cover`` is the maintained cover mask itself
     (excluded from ``summary()``; written by ``--cover-out``).
 
-    ``ingest_s``/``repair_s``/``resolve_s`` split the wall clock: time
-    spent getting updates into the engine (WAL commits and digest
-    stamps), time spent applying/repairing/pruning (the incremental path),
-    and time spent in triggered full re-solves.  The three do not sum to
-    ``elapsed_s`` — verification, snapshots and bookkeeping are outside
-    all three buckets.
-
-    ``kernel_profile`` (``profile=True`` runs only) splits ``repair_s``
-    further by kernel: adjacency maintenance, pricing repair, greedy
-    prune, and certificate computation, summed over every batch.
+    ``timings`` is the sum of the records' :data:`TIMING_KEYS` buckets,
+    except that ``resolve_s`` also counts the initial (or cold-start)
+    solve.  The buckets do not sum to ``elapsed_s``: verification,
+    snapshots, WAL replay checks and bookkeeping are outside all of them.
     """
 
     num_updates: int
@@ -287,10 +295,9 @@ class StreamSummary:
     records: List[StreamRecord] = field(repr=False, default_factory=list)
     final_cover: Optional[np.ndarray] = field(repr=False, default=None)
     resumed_from_batch: Optional[int] = None
-    ingest_s: float = 0.0
-    repair_s: float = 0.0
-    resolve_s: float = 0.0
-    kernel_profile: Optional[dict] = None
+    timings: Dict[str, float] = field(
+        default_factory=lambda: dict.fromkeys(TIMING_KEYS, 0.0)
+    )
 
     def summary(self) -> dict:
         """Scalar JSON-friendly summary (the ``repro stream`` footer)."""
@@ -304,14 +311,8 @@ class StreamSummary:
             "final_certified_ratio": self.final_certified_ratio,
             "final_is_cover": self.final_is_cover,
             "elapsed_s": round(self.elapsed_s, 6),
-            "ingest_s": round(self.ingest_s, 6),
-            "repair_s": round(self.repair_s, 6),
-            "resolve_s": round(self.resolve_s, 6),
+            "timings": _rounded(self.timings),
         }
-        if self.kernel_profile is not None:
-            row["kernel_profile"] = {
-                k: round(v, 6) for k, v in self.kernel_profile.items()
-            }
         if self.resumed_from_batch is not None:
             row["resumed_from_batch"] = self.resumed_from_batch
         return row
@@ -323,7 +324,8 @@ class _StreamEngine:
     Owns the mutable counters (stream position, cooldown, re-solve tally)
     and performs one batch end-to-end: optional WAL commit *before* the
     state mutation, repair, policy evaluation, triggered re-solve,
-    periodic verification, record keeping, and periodic snapshots.
+    periodic verification, record keeping, and periodic snapshots.  It is
+    also the one place that adds the :data:`TIMING_KEYS` buckets up.
     """
 
     def __init__(
@@ -353,9 +355,7 @@ class _StreamEngine:
         self.cache_hits = 0
         self.batches_since = 0
         self.updates_applied = 0
-        self.ingest_s = 0.0
-        self.repair_s = 0.0
-        self.resolve_s = 0.0
+        self.timings = dict.fromkeys(TIMING_KEYS, 0.0)
 
     # -- state restored from a snapshot's extra counters ---------------- #
     def restore_counters(self, extra: dict) -> None:
@@ -372,8 +372,8 @@ class _StreamEngine:
         }
 
     # -- the solve path -------------------------------------------------- #
-    def resolve(self) -> bool:
-        """Full re-solve through the service; returns cache-hit flag."""
+    def resolve(self) -> Tuple[bool, float]:
+        """Full re-solve through the service: ``(cache hit, wall seconds)``."""
         t0 = time.perf_counter()
         graph = self.maintainer.dyn.compact()
         request = SolveRequest(
@@ -385,8 +385,16 @@ class _StreamEngine:
         self.maintainer.adopt(result.result, graph=graph)
         self.num_resolves += 1
         self.cache_hits += int(result.cache_hit)
-        self.resolve_s += time.perf_counter() - t0
-        return result.cache_hit
+        return result.cache_hit, time.perf_counter() - t0
+
+    def initial_solve(self) -> None:
+        """Seed the maintainer with a full solve (skipped when edgeless).
+
+        Its time counts toward the summary's ``resolve_s`` but belongs to
+        no batch record.
+        """
+        if self.maintainer.dyn.m:
+            self.timings["resolve_s"] += self.resolve()[1]
 
     # -- durability ------------------------------------------------------ #
     def write_snapshot(self, next_batch_index: int) -> None:
@@ -424,16 +432,15 @@ class _StreamEngine:
     def process_batch(
         self, index: int, batch: List[GraphUpdate], *, log_to_wal: bool
     ) -> StreamRecord:
+        timings = dict.fromkeys(TIMING_KEYS, 0.0)
         if log_to_wal and self.wal is not None:
             t_wal = time.perf_counter()
-            digest = ""
-            if self.checkpoint is not None and self.checkpoint.stamp_digests:
-                digest = self.maintainer.dyn.content_digest()
+            digest = self.maintainer.dyn.content_digest()
             self.wal.append(index, batch, state_digest=digest)
-            self.ingest_s += time.perf_counter() - t_wal
+            timings["wal_s"] = time.perf_counter() - t_wal
         t0 = time.perf_counter()
         report = self.maintainer.apply_batch(batch)
-        self.repair_s += time.perf_counter() - t0
+        timings.update(self.maintainer.last_batch_timings)
         self.updates_applied += len(batch)
         self.batches_since += 1
         decision = self.policy.should_resolve(
@@ -443,7 +450,7 @@ class _StreamEngine:
         )
         hit = False
         if decision:
-            hit = self.resolve()
+            hit, timings["resolve_s"] = self.resolve()
             self.batches_since = 0
         if self.verify_every and (index + 1) % self.verify_every == 0:
             if not self.maintainer.verify():  # pragma: no cover - invariant guard
@@ -458,9 +465,11 @@ class _StreamEngine:
             resolve_cache_hit=hit,
             certified_ratio_after=self.maintainer.certified_ratio(),
             elapsed_s=time.perf_counter() - t0,
-            kernel_profile=self.maintainer.last_batch_profile,
+            timings=timings,
         )
         self.records.append(record)
+        for key, value in timings.items():
+            self.timings[key] += value
         if (
             self.checkpoint is not None
             and (index + 1) % self.checkpoint.snapshot_every == 0
@@ -500,10 +509,7 @@ class _StreamEngine:
             records=self.records,
             final_cover=self.maintainer.cover,
             resumed_from_batch=resumed_from_batch,
-            ingest_s=self.ingest_s,
-            repair_s=self.repair_s,
-            resolve_s=self.resolve_s,
-            kernel_profile=self.maintainer.kernel_profile,
+            timings=dict(self.timings),
         )
 
 
@@ -532,7 +538,6 @@ def _write_config(
         "policy": asdict(policy),
         "snapshot_every": int(checkpoint.snapshot_every),
         "fsync": bool(checkpoint.fsync),
-        "stamp_digests": bool(checkpoint.stamp_digests),
         "keep_snapshots": int(checkpoint.keep_snapshots),
         "compact_wal": bool(checkpoint.compact_wal),
         "snapshot_compression": str(checkpoint.snapshot_compression),
@@ -580,7 +585,6 @@ def run_stream(
     verify_every: int = 0,
     compact_fraction: float = 0.25,
     checkpoint: Optional[CheckpointConfig] = None,
-    profile: bool = False,
 ) -> StreamSummary:
     """Maintain a certified cover over ``graph`` while replaying ``updates``.
 
@@ -613,10 +617,10 @@ def run_stream(
         snapshot periodically into ``checkpoint.directory`` so a killed
         process can be picked up by :func:`resume_stream` at the exact
         state it died in.
-    profile:
-        Collect the per-batch kernel timing breakdown (repair / prune /
-        adjacency / certificate) into every record and the summary's
-        ``kernel_profile`` (``repro stream --profile``).
+
+    Every record and the summary carry a ``timings`` dict with the
+    :data:`TIMING_KEYS` buckets; timing is always on and never changes a
+    result.
 
     Raises
     ------
@@ -648,7 +652,7 @@ def run_stream(
 
     start = time.perf_counter()
     dyn = DynamicGraph(graph, compact_fraction=compact_fraction)
-    maintainer = IncrementalCoverMaintainer(dyn, profile=profile)
+    maintainer = IncrementalCoverMaintainer(dyn)
     wal = (
         WriteAheadLog(checkpoint.wal_path, fsync=checkpoint.fsync)
         if checkpoint is not None
@@ -666,8 +670,7 @@ def run_stream(
         wal=wal,
     )
     try:
-        if graph.m:
-            engine_.resolve()
+        engine_.initial_solve()
         engine_.write_snapshot(0)
         engine_.run(updates, batch_size, 0)
     finally:
@@ -718,7 +721,6 @@ def resume_stream(
     *,
     updates: Optional[Sequence[GraphUpdate]] = None,
     solver: Optional[BatchSolver] = None,
-    profile: bool = False,
 ) -> StreamSummary:
     """Resume a checkpointed stream after a crash (or completion).
 
@@ -727,7 +729,8 @@ def resume_stream(
     1. read ``config.json`` (run parameters travel with the checkpoint —
        no flags to re-specify);
     2. repair a torn WAL tail (a record cut mid-write was never
-       committed), then read the committed records;
+       committed; the truncation is logged as a warning on this module's
+       logger), then read the committed records;
     3. restore the newest intact snapshot — a corrupt newer one is skipped
        with a warning on this module's logger in favour of an older one
        (what ``keep_snapshots > 1`` retains history for), but when every
@@ -766,7 +769,6 @@ def resume_stream(
         directory=directory,
         snapshot_every=int(config["snapshot_every"]),
         fsync=bool(config.get("fsync", True)),
-        stamp_digests=bool(config.get("stamp_digests", True)),
         keep_snapshots=int(config.get("keep_snapshots", 1)),
         compact_wal=bool(config.get("compact_wal", False)),
         snapshot_compression=str(config.get("snapshot_compression", "gzip")),
@@ -786,7 +788,11 @@ def resume_stream(
             f"update stream length {len(updates)} does not match the "
             f"checkpointed run's {config['num_updates']}"
         )
-    repair_wal(checkpoint.wal_path)
+    if repair_wal(checkpoint.wal_path):
+        _log.warning(
+            "truncated a torn tail (a record cut mid-write) from WAL %s",
+            checkpoint.wal_path,
+        )
     wal_records, _ = read_wal(checkpoint.wal_path)
 
     own_solver = solver is None
@@ -817,7 +823,6 @@ def resume_stream(
                 )
         if restored is not None:
             maintainer = restored.maintainer
-            maintainer.set_profiling(profile)
             restored.dyn.compact_fraction = float(config["compact_fraction"])
             extra = restored.meta.get("extra", {})
             next_index = int(extra.get("next_batch_index", 0))
@@ -846,7 +851,7 @@ def resume_stream(
             dyn = DynamicGraph(
                 graph, compact_fraction=float(config["compact_fraction"])
             )
-            maintainer = IncrementalCoverMaintainer(dyn, profile=profile)
+            maintainer = IncrementalCoverMaintainer(dyn)
             extra = {}
             next_index = 0
             cold_start = True
@@ -865,8 +870,8 @@ def resume_stream(
         engine_.restore_counters(extra)
         resumed_from = next_index
         updates_at_restore = engine_.updates_applied
-        if cold_start and maintainer.dyn.m:
-            engine_.resolve()
+        if cold_start:
+            engine_.initial_solve()
 
         # ---- replay the committed WAL tail ---------------------------- #
         tail = [r for r in wal_records if r.batch_index >= next_index]

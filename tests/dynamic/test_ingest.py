@@ -7,8 +7,6 @@ import pytest
 from repro.dynamic.ingest import (
     DirectorySource,
     FileSource,
-    IterableSource,
-    MemorySource,
     iter_update_batches,
     open_update_source,
 )
@@ -30,19 +28,13 @@ UPDATES = [
 
 
 class TestSources:
-    def test_memory_source(self):
-        src = MemorySource(UPDATES)
-        assert src.count() == 5
-        assert list(src) == UPDATES
-        assert src.collect() == UPDATES
-
     def test_file_source_plain_and_gz(self, tmp_path):
         plain = tmp_path / "u.jsonl"
         gz = tmp_path / "u.jsonl.gz"
         save_update_stream(UPDATES, plain)
         save_update_stream(UPDATES, gz)
         assert list(FileSource(plain)) == UPDATES
-        assert list(FileSource(gz)) == UPDATES
+        assert FileSource(gz).collect() == UPDATES
 
     def test_directory_source_reads_segments_in_order(self, tmp_path):
         paths = save_update_stream_segments(UPDATES, tmp_path, segment_size=2)
@@ -77,18 +69,19 @@ class TestSources:
     def test_open_update_source_coercions(self, tmp_path):
         path = tmp_path / "u.jsonl"
         save_update_stream(UPDATES, path)
-        assert isinstance(open_update_source(UPDATES), MemorySource)
         assert isinstance(open_update_source(str(path)), FileSource)
         assert isinstance(open_update_source(tmp_path), DirectorySource)
-        assert isinstance(open_update_source(iter(UPDATES)), IterableSource)
-        src = MemorySource(UPDATES)
+        src = FileSource(path)
         assert open_update_source(src) is src
-        with pytest.raises(TypeError):
-            open_update_source(42)
+        for spec in (42, UPDATES):
+            with pytest.raises(TypeError):
+                open_update_source(spec)
 
     def test_iter_update_batches(self):
         batches = list(iter_update_batches(UPDATES, 2))
         assert [len(b) for b in batches] == [2, 2, 1]
         assert [u for b in batches for u in b] == UPDATES
+        assert all(isinstance(b, list) for b in batches)
+        assert list(iter_update_batches([], 2)) == []
         with pytest.raises(ValueError):
             list(iter_update_batches(UPDATES, 0))

@@ -1,6 +1,7 @@
 """Recovery scenarios end-to-end: resume paths, clean failures, CLI, SIGKILL."""
 
 import json
+import logging
 import os
 import signal
 import subprocess
@@ -91,13 +92,21 @@ class TestResumeScenarios:
             resume_stream(checkpoint.directory)
 
     def test_torn_wal_tail_recovers_to_last_committed_batch(
-        self, tmp_path, monkeypatch
+        self, tmp_path, monkeypatch, caplog
     ):
         _, _, reference, checkpoint = _setup(tmp_path, monkeypatch)
         with open(checkpoint.wal_path, "ab") as fh:
             fh.write(b'{"v": 1, "batch_index": 99, "upd')  # torn mid-append
-        resumed = resume_stream(checkpoint.directory)
+        with caplog.at_level(logging.WARNING, logger="repro.dynamic.stream"):
+            resumed = resume_stream(checkpoint.directory)
         assert np.array_equal(resumed.final_cover, reference.final_cover)
+        warnings = [
+            r.getMessage()
+            for r in caplog.records
+            if r.name == "repro.dynamic.stream" and r.levelno == logging.WARNING
+        ]
+        assert len(warnings) == 1
+        assert "torn" in warnings[0] and checkpoint.wal_path in warnings[0]
 
     def test_wal_gap_fails_cleanly(self, tmp_path, monkeypatch):
         _, _, _, checkpoint = _setup(tmp_path, monkeypatch, crash_after=5)

@@ -231,6 +231,27 @@ class TestStream:
         assert len(rows) == 4
         assert all("certified_ratio" in r for r in rows)
 
+    def test_records_carry_timings_without_a_flag(self, tmp_path, capsys):
+        from repro.dynamic import TIMING_KEYS
+
+        out = tmp_path / "records.jsonl"
+        rc = main(["stream", "--family", "gnp", "--n", "80", "--degree", "5",
+                   "--seed", "1", "--num-updates", "60", "--batch-size", "20",
+                   "--out", str(out)])
+        assert rc == 0
+        summary = json.loads(capsys.readouterr().out)
+        assert tuple(summary["timings"]) == TIMING_KEYS
+        rows = [json.loads(line) for line in out.read_text().splitlines()]
+        assert len(rows) == 3
+        assert all(tuple(r["timings"]) == TIMING_KEYS for r in rows)
+
+    @pytest.mark.parametrize("command", ["stream", "resume"])
+    def test_profile_flag_is_gone(self, tmp_path, command, capsys):
+        with pytest.raises(SystemExit) as info:
+            main([command, "--checkpoint-dir", str(tmp_path), "--profile"])
+        assert info.value.code == 2
+        assert "--profile" in capsys.readouterr().err
+
     def test_updates_file_stream(self, tmp_path, capsys):
         from repro.dynamic import save_update_stream
         from repro.graphs.streams import uniform_churn_stream
