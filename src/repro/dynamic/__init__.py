@@ -18,8 +18,8 @@ per-batch stream loop.  The update events themselves live in
 :mod:`repro.dynamic.repair`
     The vectorized repair/prune/certification kernels the maintainer runs.
 :mod:`repro.dynamic.duals`
-    :class:`DualStore` — array-backed per-edge duals keyed by encoded
-    ``int64`` edge codes.
+    The ``int64`` edge-code format of the per-edge duals, which every
+    layer keeps as one plain ``dict`` from edge code to value.
 :mod:`repro.dynamic.policy`
     :class:`ResolvePolicy` — drift-bounded re-solve trigger.
 :mod:`repro.dynamic.ingest`
@@ -43,7 +43,7 @@ from repro.dynamic.checkpoint import (
     load_snapshot,
     save_snapshot,
 )
-from repro.dynamic.duals import DualStore, decode_edge_codes, encode_edge_codes
+from repro.dynamic.duals import decode_edge_codes, encode_edge_codes
 from repro.dynamic.dynamic_graph import DynamicGraph
 from repro.dynamic.maintainer import BatchReport, IncrementalCoverMaintainer
 from repro.dynamic.policy import ResolveDecision, ResolvePolicy
@@ -89,7 +89,6 @@ __all__ = [
     "CheckpointError",
     "CheckpointVersionError",
     "DirectorySource",
-    "DualStore",
     "DynamicGraph",
     "EdgeDelete",
     "EdgeInsert",

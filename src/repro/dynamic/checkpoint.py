@@ -6,10 +6,12 @@ mid-stream:
 
 * the **current graph** (canonical endpoint arrays + live weights — the
   delta log is folded away; restore starts from a fresh base snapshot,
-  which the maintainer's pair-keyed state is explicitly independent of);
+  which the maintainer's edge-code-keyed state is explicitly independent
+  of);
 * the **maintainer state** exported bit-exactly by
   :meth:`~repro.dynamic.IncrementalCoverMaintainer.export_state` (cover
-  mask, loads, pair-keyed duals, dual total, drift baseline, batch count);
+  mask, loads, edge-code-keyed duals, dual total, drift baseline, batch
+  count);
 * a **metadata header** (JSON): format version, the graph's content
   digest, scalar state, and caller counters (stream position, policy
   cooldown, re-solve tally).
@@ -19,11 +21,11 @@ deflate by default and can be disabled per write — ``np.savez_compressed``
 dominates snapshot cost on large graphs — the header is one JSON string
 member).  Format version 2
 stores the duals as one flat ``dual_codes`` array (the ``(u << 32) | v``
-encoding of :mod:`repro.dynamic.duals`) plus values — the
-:class:`~repro.dynamic.duals.DualStore` serializes straight into the
-archive with a single vectorized encode; version-1 snapshots (two-column
-``dual_keys``) keep loading through the migration path in
-:func:`load_snapshot`.  Two integrity layers make restores trustworthy:
+encoding of :mod:`repro.dynamic.duals`) plus values — exactly the sorted
+codes and values the maintainer exports, written and read back without
+conversion; version-1 snapshots (two-column ``dual_keys``) keep loading
+through the migration path in :func:`load_snapshot`.  Two integrity
+layers make restores trustworthy:
 
 1. a **content digest** over the header + every array, recomputed on load
    (bit rot, torn copies, and hand-edits raise
@@ -48,7 +50,7 @@ from typing import Optional, Union
 
 import numpy as np
 
-from repro.dynamic.duals import decode_edge_codes
+from repro.dynamic.duals import encode_edge_codes
 from repro.dynamic.dynamic_graph import DynamicGraph
 from repro.dynamic.maintainer import IncrementalCoverMaintainer
 from repro.graphs.graph import WeightedGraph
@@ -196,8 +198,7 @@ def save_snapshot(
         "weights": np.asarray(graph.weights, dtype=np.float64),
         "cover": state["cover"],
         "loads": state["loads"],
-        # export_state emits the store's codes directly — no re-encode.
-        "dual_codes": np.asarray(state["dual_codes"], dtype=np.int64),
+        "dual_codes": state["dual_codes"],
         "dual_values": state["dual_values"],
     }
     meta = {
@@ -319,16 +320,16 @@ def load_snapshot(path: PathLike) -> RestoredState:
         )
     dyn = DynamicGraph(graph)
     if "dual_codes" in arrays:
-        du, dv = decode_edge_codes(arrays["dual_codes"])
-        dual_keys = np.stack([du, dv], axis=1) if du.size else du.reshape(0, 2)
+        dual_codes = arrays["dual_codes"]
     else:
-        # Version-1 migration: two-column keys load as-is and the next
+        # Version-1 migration: two-column keys encode to codes and the next
         # save_snapshot rewrites the file in the current format.
         dual_keys = np.asarray(arrays["dual_keys"], dtype=np.int64).reshape(-1, 2)
+        dual_codes = encode_edge_codes(dual_keys[:, 0], dual_keys[:, 1])
     state = {
         "cover": arrays["cover"],
         "loads": arrays["loads"],
-        "dual_keys": dual_keys,
+        "dual_codes": dual_codes,
         "dual_values": arrays["dual_values"],
         "dual_value": meta["dual_value"],
         "base_ratio": meta["base_ratio"],

@@ -45,10 +45,14 @@ import numpy as np
 from repro.core.certificates import CoverCertificate
 from repro.core.postprocess import prune_redundant_vertices
 from repro.core.result import MWVCResult
-from repro.dynamic.duals import DualStore, decode_edge_codes, encode_edge_codes
+from repro.dynamic.duals import (
+    _SHIFT,
+    decode_edge_codes,
+    encode_edge_codes,
+    sorted_duals,
+)
 from repro.dynamic.dynamic_graph import DynamicGraph
 from repro.dynamic.repair import (
-    RESIDUAL_RTOL,
     certificate_from_state,
     greedy_prune_pass,
     pricing_repair_pass,
@@ -56,10 +60,6 @@ from repro.dynamic.repair import (
 from repro.graphs.updates import EdgeDelete, EdgeInsert, GraphUpdate, WeightChange
 
 __all__ = ["IncrementalCoverMaintainer", "BatchReport"]
-
-#: Relative tolerance for "residual weight is exhausted" decisions
-#: (the shared constant of :mod:`repro.dynamic.repair`).
-_RESIDUAL_RTOL = RESIDUAL_RTOL
 
 
 @dataclass(frozen=True)
@@ -100,10 +100,12 @@ class BatchReport:
     drift: float
 
     def to_dict(self) -> dict:
-        """Exact JSON-friendly form; inverse of :meth:`from_dict`.
+        """Exact JSON-friendly form, the certificate nested in full.
 
-        The certificate is nested in full (its own ``to_dict``), so this is
-        the one schema shared by stream records and the write-ahead log.
+        :meth:`summary` flattens it into one ``repro stream`` record row.
+        The write-ahead log does not store reports: a
+        :class:`~repro.dynamic.WALRecord` holds only the batch index, the
+        updates and the pre-apply state digest.
         """
         return {
             "num_updates": int(self.num_updates),
@@ -118,28 +120,6 @@ class BatchReport:
             "certificate": self.certificate.to_dict(),
             "drift": float(self.drift),
         }
-
-    @classmethod
-    def from_dict(cls, spec: dict) -> "BatchReport":
-        """Rebuild a report from its :meth:`to_dict` form."""
-        if not isinstance(spec, dict):
-            raise ValueError(f"batch report must be a dict, got {type(spec).__name__}")
-        missing = {f for f in cls.__dataclass_fields__} - set(spec)
-        if missing:
-            raise ValueError(f"batch report missing keys {sorted(missing)}")
-        return cls(
-            num_updates=int(spec["num_updates"]),
-            applied=int(spec["applied"]),
-            inserts=int(spec["inserts"]),
-            deletes=int(spec["deletes"]),
-            reweights=int(spec["reweights"]),
-            repaired_edges=int(spec["repaired_edges"]),
-            added_to_cover=int(spec["added_to_cover"]),
-            pruned_from_cover=int(spec["pruned_from_cover"]),
-            retired_dual=float(spec["retired_dual"]),
-            certificate=CoverCertificate.from_dict(spec["certificate"]),
-            drift=float(spec["drift"]),
-        )
 
     def summary(self) -> dict:
         """Flat JSON-friendly dict (one row of ``repro stream`` output)."""
@@ -180,7 +160,8 @@ class IncrementalCoverMaintainer:
         self.dyn = dyn
         n = dyn.n
         self._cover = np.zeros(n, dtype=bool)
-        self._x = DualStore()
+        #: Nonzero per-edge duals keyed by edge code (see repro.dynamic.duals).
+        self._x: Dict[int, float] = {}
         self._loads = np.zeros(n, dtype=np.float64)
         self._dual_value = 0.0
         self._base_ratio: Optional[float] = None
@@ -223,7 +204,9 @@ class IncrementalCoverMaintainer:
 
     def edge_duals(self) -> Dict[Tuple[int, int], float]:
         """Nonzero per-edge duals keyed by canonical endpoint pair (copy)."""
-        return self._x.as_dict()
+        codes, values = sorted_duals(self._x)
+        u, v = decode_edge_codes(codes)
+        return dict(zip(zip(u.tolist(), v.tolist()), values.tolist()))
 
     # ------------------------------------------------------------------ #
     # snapshot/restore support
@@ -235,20 +218,15 @@ class IncrementalCoverMaintainer:
         *not* recomputed — so a maintainer restored via :meth:`from_state`
         is bit-identical and every subsequent :meth:`apply_batch` evolves
         it exactly as the original (the property
-        ``tests/recovery/test_equivalence.py`` checks).  Dual keys are
-        emitted in sorted order (one vectorized code sort), making the
-        export deterministic for a given state (content digests of two
-        exports of one state match).
+        ``tests/recovery/test_equivalence.py`` checks).  The duals are
+        emitted as edge codes in sorted order (:func:`sorted_duals`),
+        making the export deterministic for a given state (content digests
+        of two exports of one state match).
         """
-        dual_codes, dual_values = self._x.sorted_codes()
-        du, dv = decode_edge_codes(dual_codes)
-        dual_keys = (
-            np.stack([du, dv], axis=1) if dual_codes.size else dual_codes.reshape(0, 2)
-        )
+        dual_codes, dual_values = sorted_duals(self._x)
         return {
             "cover": self._cover.copy(),
             "loads": self._loads.copy(),
-            "dual_keys": dual_keys,
             "dual_codes": dual_codes,
             "dual_values": dual_values,
             "dual_value": float(self._dual_value),
@@ -276,25 +254,26 @@ class IncrementalCoverMaintainer:
             raise ValueError(f"cover mask has shape {cover.shape}, expected ({n},)")
         if loads.shape != (n,):
             raise ValueError(f"loads have shape {loads.shape}, expected ({n},)")
-        keys = np.asarray(state["dual_keys"], dtype=np.int64)
+        codes = np.asarray(state["dual_codes"], dtype=np.int64)
         vals = np.asarray(state["dual_values"], dtype=np.float64)
-        if keys.ndim != 2 or keys.shape[1] != 2 or keys.shape[0] != vals.shape[0]:
+        if codes.ndim != 1 or codes.shape != vals.shape:
             raise ValueError(
-                f"dual arrays disagree: keys {keys.shape}, values {vals.shape}"
+                f"dual arrays disagree: codes {codes.shape}, values {vals.shape}"
             )
-        if keys.shape[0]:
-            present = dyn.has_edges(keys[:, 0], keys[:, 1])
+        if codes.size:
+            du, dv = decode_edge_codes(codes)
+            present = dyn.has_edges(du, dv)
             if not present.all():
-                u, v = keys[np.nonzero(~present)[0][0]]
+                bad = np.nonzero(~present)[0][0]
                 raise ValueError(
-                    f"dual on ({int(u)}, {int(v)}) which is not an edge of "
-                    f"the restored graph"
+                    f"dual on ({int(du[bad])}, {int(dv[bad])}) which is not an "
+                    f"edge of the restored graph"
                 )
         maintainer = cls.__new__(cls)
         maintainer.dyn = dyn
         maintainer._cover = cover.copy()
         maintainer._loads = loads.copy()
-        maintainer._x = DualStore.from_arrays(keys, vals)
+        maintainer._x = dict(zip(codes.tolist(), vals.tolist()))
         maintainer._dual_value = float(state["dual_value"])
         base = state["base_ratio"]
         maintainer._base_ratio = None if base is None else float(base)
@@ -307,32 +286,17 @@ class IncrementalCoverMaintainer:
     # ------------------------------------------------------------------ #
     def load_factor(self) -> float:
         """``max(1, max_v y_v / w(v))`` against the *current* weights."""
-        if self.dyn.n == 0:
-            return 1.0
-        return max(1.0, float((self._loads / self.dyn.weights).max()))
-
-    def dual_excess(self) -> float:
-        """Total dual overload ``Σ_v max(0, y_v − w(v))``.
-
-        For any cover ``C``, ``Σ_e x_e ≤ Σ_{v∈C} y_v ≤ w(C) + Σ_v (y_v −
-        w_v)_+`` (every edge has an endpoint in ``C``), so ``Σ_e x_e −
-        dual_excess ≤ OPT`` — a per-vertex-tight companion to the global
-        ``load_factor`` scaling.
-        """
-        if self.dyn.n == 0:
-            return 0.0
-        return float(np.maximum(self._loads - self.dyn.weights, 0.0).sum())
+        return self.certificate().load_factor
 
     def certificate(self) -> CoverCertificate:
         """The duality certificate of the maintained state.
 
         ``is_cover`` here asserts the maintainer's invariant (it is
         recomputed exactly by :meth:`verify`, which materializes the
-        graph).  The OPT lower bound is the better of the two sound
-        repairs of a violated dual: global scaling ``Σx / load_factor``
-        (as in :func:`repro.core.certificates.certify_cover`) and excess
-        subtraction ``Σx − dual_excess`` — the latter is far tighter when
-        a few reweighted vertices carry all the violation.
+        graph).  The OPT lower bound is the better of global scaling
+        ``Σx / load_factor`` and excess subtraction ``Σx − Σ_v (y_v −
+        w_v)_+``; :func:`~repro.dynamic.repair.certificate_from_state`
+        states why both are sound.
         """
         return certificate_from_state(
             weights=self.dyn.weights,
@@ -379,8 +343,8 @@ class IncrementalCoverMaintainer:
             on the adopted cover (never heavier, usually lighter; the
             duals — and thus the lower bound — are unaffected).
 
-        The result is validated against the graph, and its edge-indexed
-        duals map into the edge-code-keyed :class:`DualStore` with one
+        The result is validated against the graph, and its nonzero
+        edge-indexed duals become the edge-code-keyed dual dict with one
         vectorized encode.  Returns the post-adoption certificate (the new
         drift baseline).
         """
@@ -399,9 +363,8 @@ class IncrementalCoverMaintainer:
             cover = prune_redundant_vertices(g, cover, weights=self.dyn.weights)
         nz = np.nonzero(x)[0]
         self._cover = cover.copy()
-        self._x = DualStore.from_codes(
-            encode_edge_codes(g.edges_u[nz], g.edges_v[nz]), x[nz]
-        )
+        codes = encode_edge_codes(g.edges_u[nz], g.edges_v[nz])
+        self._x = dict(zip(codes.tolist(), x[nz].tolist()))
         self._loads = g.incident_sums(x)
         self._dual_value = float(x.sum())
         cert = self.certificate()
@@ -485,7 +448,7 @@ class IncrementalCoverMaintainer:
 
     def _retire_dual(self, key: Tuple[int, int]) -> float:
         """Drop a deleted edge's dual; returns the retired mass."""
-        pay = self._x.pop(key, 0.0)
+        pay = self._x.pop((key[0] << _SHIFT) | key[1], 0.0)
         if pay:
             for t in key:
                 self._loads[t] -= pay

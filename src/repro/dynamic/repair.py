@@ -38,12 +38,12 @@ anyway, making the pass-start droppability mask decision-equivalent.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Callable, Iterable, List, Set, Tuple
+from typing import TYPE_CHECKING, Callable, Dict, Iterable, List, Set, Tuple
 
 import numpy as np
 
 from repro.core.certificates import CoverCertificate
-from repro.dynamic.duals import DualStore
+from repro.dynamic.duals import encode_edge_codes
 
 if TYPE_CHECKING:
     from repro.dynamic.dynamic_graph import DynamicGraph
@@ -56,7 +56,6 @@ __all__ = [
 ]
 
 #: Relative tolerance for "residual weight is exhausted" decisions.
-#: (Moved here from :mod:`repro.dynamic.maintainer`, which re-exports it.)
 RESIDUAL_RTOL = 1e-9
 
 EdgeKey = Tuple[int, int]
@@ -87,7 +86,7 @@ def pricing_repair_pass(
     weights: np.ndarray,
     cover: np.ndarray,
     loads: np.ndarray,
-    duals: DualStore,
+    duals: Dict[int, float],
     dual_value: float,
     has_edges: Callable[[np.ndarray, np.ndarray], np.ndarray],
 ) -> RepairOutcome:
@@ -99,7 +98,8 @@ def pricing_repair_pass(
     whose residual is exhausted enters the cover.  An endpoint already
     fully paid (residual ≤ 0, possible after an adopted solve with load
     factor > 1 or a weight decrease) enters for free.  ``cover``,
-    ``loads`` and ``duals`` are mutated in place.
+    ``loads`` and ``duals`` (keyed by edge code, see
+    :mod:`repro.dynamic.duals`) are mutated in place.
 
     ``has_edges(u_arr, v_arr) -> bool array`` filters the keys by
     presence (:meth:`~repro.dynamic.DynamicGraph.has_edges`).  The
@@ -127,10 +127,10 @@ def pricing_repair_pass(
     tols_v = (RESIDUAL_RTOL * w_v).tolist()
     us, vs = su.tolist(), sv.tolist()
     wus, wvs = w_u.tolist(), w_v.tolist()
+    codes = encode_edge_codes(su, sv).tolist()
 
     repaired = 0
     entered: Set[int] = set()
-    add_pay = duals.add_pay
     for i in range(len(us)):
         u = us[i]
         v = vs[i]
@@ -142,7 +142,8 @@ def pricing_repair_pass(
         rv = wv - float(loads[v])
         pay = max(0.0, min(ru, rv))
         if pay > 0.0:
-            add_pay(u, v, pay)
+            code = codes[i]
+            duals[code] = duals.get(code, 0.0) + pay
             loads[u] += pay
             loads[v] += pay
             dual_value += pay
@@ -238,10 +239,19 @@ def certificate_from_state(
 ) -> CoverCertificate:
     """The duality certificate of a maintained ``(cover, duals)`` state.
 
-    The OPT lower bound is the better of the two sound repairs of a
-    violated dual: global scaling ``Σx / load_factor`` and excess
-    subtraction ``Σx − Σ_v (y_v − w_v)_+`` (see
-    :meth:`repro.dynamic.IncrementalCoverMaintainer.certificate`).
+    ``loads`` are the dual loads ``y_v = Σ_{e ∋ v} x_e`` and ``dual_value``
+    is ``Σ_e x_e``.  The OPT lower bound is the better of the two sound
+    repairs of a violated dual:
+
+    * global scaling ``Σx / load_factor`` with ``load_factor = max(1,
+      max_v y_v / w_v)`` (as in :func:`repro.core.certificates.certify_cover`):
+      the scaled duals are feasible, so weak duality applies;
+    * excess subtraction ``Σx − Σ_v (y_v − w_v)_+``: for any cover ``C``,
+      ``Σ_e x_e ≤ Σ_{v∈C} y_v ≤ w(C) + Σ_v (y_v − w_v)_+`` because every
+      edge has an endpoint in ``C``; taking ``C`` optimal gives
+      ``Σx − Σ_v (y_v − w_v)_+ ≤ OPT``.  This is far tighter than scaling
+      when a few reweighted vertices carry all the violation.
+
     ``is_cover`` asserts the caller's validity invariant — it is not
     recomputed here.
     """

@@ -22,6 +22,7 @@ import numpy as np
 
 from repro.core.postprocess import prune_redundant_vertices
 from repro.dynamic import DynamicGraph, IncrementalCoverMaintainer
+from repro.dynamic.duals import _SHIFT
 from repro.dynamic.repair import RESIDUAL_RTOL, RepairOutcome
 
 EdgeKey = Tuple[int, int]
@@ -37,7 +38,10 @@ def reference_pricing_repair_pass(
     dual_value: float,
     graph: DynamicGraph,
 ) -> RepairOutcome:
-    """The original repair loop: one ``has_edge`` probe per key."""
+    """The original repair loop: one ``has_edge`` probe per key.
+
+    ``duals`` is the edge-code-keyed dict of :mod:`repro.dynamic.duals`.
+    """
     repaired = 0
     entered: Set[int] = set()
     for key in keys:
@@ -50,7 +54,8 @@ def reference_pricing_repair_pass(
         rv = float(weights[v] - loads[v])
         pay = max(0.0, min(ru, rv))
         if pay > 0.0:
-            duals[key] = duals.get(key, 0.0) + pay
+            code = (u << _SHIFT) | v
+            duals[code] = duals.get(code, 0.0) + pay
             loads[u] += pay
             loads[v] += pay
             dual_value += pay

@@ -1,74 +1,30 @@
-"""Unit tests for the array-backed :class:`DualStore`."""
+"""Unit tests for the edge-code format of :mod:`repro.dynamic.duals`."""
 
 import numpy as np
-import pytest
 
-from repro.dynamic.duals import DualStore, decode_edge_codes, encode_edge_codes
+from repro.dynamic.duals import decode_edge_codes, encode_edge_codes, sorted_duals
 
 
-class TestMappingProtocol:
-    def test_tuple_keyed_get_set_pop(self):
-        store = DualStore()
-        store[(1, 5)] = 0.5
-        assert (1, 5) in store
-        assert store[(1, 5)] == 0.5
-        assert store.get((1, 5)) == 0.5
-        assert store.get((0, 2)) == 0.0
-        assert store.pop((1, 5)) == 0.5
-        assert (1, 5) not in store
-        assert store.pop((1, 5), 0.0) == 0.0
+def _code(u, v):
+    return int(encode_edge_codes(np.array([u]), np.array([v]))[0])
 
-    def test_missing_key_raises_with_tuple(self):
-        store = DualStore()
-        with pytest.raises(KeyError):
-            store[(3, 4)]
-        with pytest.raises(KeyError):
-            del store[(3, 4)]
 
-    def test_iteration_yields_tuples(self):
-        pairs = {(0, 1): 1.0, (2, 7): 0.25}
-        store = DualStore(pairs)
-        assert dict(store.items()) == pairs
-        assert set(store) == set(pairs)
-        assert len(store) == 2
+class TestSortedDuals:
+    def test_sorted_by_canonical_key(self):
+        duals = {_code(5, 9): 3.0, _code(0, 1): 1.0, _code(0, 7): 2.0}
+        codes, vals = sorted_duals(duals)
+        u, v = decode_edge_codes(codes)
+        assert list(zip(u.tolist(), v.tolist())) == [(0, 1), (0, 7), (5, 9)]
+        assert vals.tolist() == [1.0, 2.0, 3.0]
+        assert codes.dtype == np.int64 and vals.dtype == np.float64
 
-    def test_add_pay_accumulates(self):
-        store = DualStore()
-        store.add_pay(2, 9, 0.5)
-        store.add_pay(2, 9, 0.25)
-        assert store[(2, 9)] == 0.75
-
-    def test_equality_with_dict_and_store(self):
-        pairs = {(0, 3): 2.0}
-        assert DualStore(pairs) == pairs
-        assert DualStore(pairs) == DualStore(pairs)
-        assert DualStore(pairs) != {(0, 3): 2.5}
-
-    def test_copy_is_independent(self):
-        store = DualStore({(1, 2): 1.0})
-        clone = store.copy()
-        clone[(1, 2)] = 9.0
-        assert store[(1, 2)] == 1.0
+    def test_empty(self):
+        codes, vals = sorted_duals({})
+        assert codes.shape == (0,) and codes.dtype == np.int64
+        assert vals.shape == (0,) and vals.dtype == np.float64
 
 
 class TestArrayIO:
-    def test_to_arrays_sorted_canonical(self):
-        store = DualStore({(5, 9): 3.0, (0, 1): 1.0, (0, 7): 2.0})
-        keys, vals = store.to_arrays()
-        assert [tuple(k) for k in keys.tolist()] == [(0, 1), (0, 7), (5, 9)]
-        assert vals.tolist() == [1.0, 2.0, 3.0]
-
-    def test_empty_store_arrays(self):
-        keys, vals = DualStore().to_arrays()
-        assert keys.shape == (0, 2) and vals.shape == (0,)
-        codes, cvals = DualStore().sorted_codes()
-        assert codes.size == 0 and cvals.size == 0
-
-    def test_round_trip_from_arrays(self):
-        store = DualStore({(3, 11): 0.5, (2, 4): 1.5})
-        again = DualStore.from_arrays(*store.to_arrays())
-        assert again == store
-
     def test_encode_decode_inverse(self):
         u = np.array([0, 17, 2**31 - 2], dtype=np.int64)
         v = np.array([1, 99, 2**31 - 1], dtype=np.int64)
@@ -83,6 +39,3 @@ class TestArrayIO:
         )
         by_code = [pairs[i] for i in np.argsort(codes)]
         assert by_code == sorted(pairs)
-
-    def test_total(self):
-        assert DualStore({(0, 1): 1.5, (2, 3): 0.5}).total() == 2.0

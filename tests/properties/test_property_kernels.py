@@ -1,6 +1,6 @@
 """Property: vectorized repair/prune kernels ≡ the reference oracles.
 
-The vectorized dynamic hot path (CSR-delta adjacency, array-backed duals,
+The vectorized dynamic hot path (CSR-delta adjacency, edge-code-keyed duals,
 batched pricing/prune kernels) promises *bit-identical* covers, duals, and
 certificates to the object-at-a-time oracles of
 ``tests/dynamic/reference_kernels.py``.  Hypothesis drives random graphs
@@ -18,7 +18,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core.mpc_mwvc import minimum_weight_vertex_cover
-from repro.dynamic import DualStore, DynamicGraph, IncrementalCoverMaintainer
+from repro.dynamic import DynamicGraph, IncrementalCoverMaintainer
+from repro.dynamic.duals import decode_edge_codes, encode_edge_codes, sorted_duals
 from repro.dynamic.repair import greedy_prune_pass, pricing_repair_pass
 from repro.graphs.updates import EdgeDelete, EdgeInsert, WeightChange
 
@@ -104,12 +105,12 @@ class TestBareKernels:
             if rng.random() < 0.2:
                 dyn.apply(EdgeDelete(u, v))
         args = dict(weights=np.asarray(graph.weights), dual_value=0.25)
-        ref_cover, ref_loads, ref_duals = cover.copy(), loads.copy(), DualStore()
+        ref_cover, ref_loads, ref_duals = cover.copy(), loads.copy(), {}
         ref = reference_pricing_repair_pass(
             keys, cover=ref_cover, loads=ref_loads, duals=ref_duals, graph=dyn,
             **args,
         )
-        vec_cover, vec_loads, vec_duals = cover.copy(), loads.copy(), DualStore()
+        vec_cover, vec_loads, vec_duals = cover.copy(), loads.copy(), {}
         vec = pricing_repair_pass(
             keys, cover=vec_cover, loads=vec_loads, duals=vec_duals,
             has_edges=dyn.has_edges, **args,
@@ -156,7 +157,7 @@ class TestBareKernels:
         assert np.array_equal(vec_cover, ref_cover)
 
 
-class TestDualStore:
+class TestSortedDuals:
     @settings(max_examples=50, deadline=None)
     @given(
         pairs=st.lists(
@@ -171,11 +172,12 @@ class TestDualStore:
             data.draw(st.floats(0.001, 100.0, allow_nan=False))
             for _ in pairs
         ]
-        store = DualStore(dict(zip(pairs, values)))
-        keys, vals = store.to_arrays()
-        assert [tuple(k) for k in keys.tolist()] == sorted(pairs)
-        again = DualStore.from_arrays(keys, vals)
-        assert again == store
-        assert again.as_dict() == dict(zip(pairs, values))
-        codes, code_vals = store.sorted_codes()
-        assert DualStore.from_codes(codes, code_vals) == store
+        u = np.array([p[0] for p in pairs], dtype=np.int64)
+        v = np.array([p[1] for p in pairs], dtype=np.int64)
+        duals = dict(zip(encode_edge_codes(u, v).tolist(), values))
+        codes, code_vals = sorted_duals(duals)
+        du, dv = decode_edge_codes(codes)
+        assert list(zip(du.tolist(), dv.tolist())) == sorted(pairs)
+        assert dict(zip(codes.tolist(), code_vals.tolist())) == duals
+        by_pair = dict(zip(pairs, values))
+        assert code_vals.tolist() == [by_pair[p] for p in sorted(pairs)]

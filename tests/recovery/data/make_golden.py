@@ -1,19 +1,26 @@
-"""Regenerate the golden checkpoint fixtures (run from the repo root).
+"""Write the golden checkpoint fixtures of the current formats (run from the repo root).
 
-The fixtures pin the on-disk formats: if either file stops loading, or
-loads to different state, a format change slipped in without a version
-bump.  Regenerate *only* alongside an intentional, versioned format
-change::
+The fixtures pin the on-disk formats: if a file stops loading, or loads
+to different state, a format change slipped in without a version bump.
+Each fixture is named by its format version (``golden_snapshot_v2.npz``
+is snapshot format 2, ``golden_wal_v1.jsonl`` is WAL format 1), and an
+existing file is never overwritten — older fixtures, such as the
+format-1 snapshot the migration tests load, cannot be rewritten by a
+newer writer.  After an intentional, versioned format change, run::
 
     PYTHONPATH=src python tests/recovery/data/make_golden.py
+
+to add the new version's fixture beside the old ones.
 """
 
 import os
+import sys
 
 import numpy as np
 
 from repro.dynamic import DynamicGraph, IncrementalCoverMaintainer, WriteAheadLog
-from repro.dynamic.checkpoint import save_snapshot
+from repro.dynamic.checkpoint import CHECKPOINT_FORMAT_VERSION, save_snapshot
+from repro.dynamic.wal import WAL_FORMAT_VERSION
 from repro.graphs.graph import WeightedGraph
 from repro.graphs.updates import EdgeDelete, EdgeInsert, WeightChange
 
@@ -25,6 +32,16 @@ BATCHES = [
     [EdgeInsert(0, 1), EdgeInsert(1, 2), EdgeInsert(2, 3), EdgeInsert(0, 4)],
     [EdgeInsert(2, 4), EdgeDelete(1, 2), WeightChange(3, 2.5)],
 ]
+#: The stream position the snapshot fixtures record in ``meta["extra"]``.
+EXTRA = {"next_batch_index": 2, "updates_applied": 7}
+
+
+def snapshot_fixture(version: int) -> str:
+    return os.path.join(HERE, f"golden_snapshot_v{version}.npz")
+
+
+def wal_fixture(version: int) -> str:
+    return os.path.join(HERE, f"golden_wal_v{version}.jsonl")
 
 
 def build_maintainer():
@@ -41,32 +58,41 @@ def build_maintainer():
     return maintainer
 
 
-def main():
+def write_snapshot(path: str) -> None:
     maintainer = build_maintainer()
-    digest = save_snapshot(
-        os.path.join(HERE, "golden_snapshot.npz"),
-        maintainer,
-        extra={"next_batch_index": 2, "updates_applied": 7},
-        fsync=False,
-    )
-    # Recompute pre-apply digests the way run_stream stamps them.
-    pre_digests = {}
-    m2 = IncrementalCoverMaintainer(
-        DynamicGraph(WeightedGraph.empty(5, weights=WEIGHTS))
-    )
-    wal_path = os.path.join(HERE, "golden_wal.jsonl")
-    if os.path.exists(wal_path):
-        os.unlink(wal_path)
-    with WriteAheadLog(wal_path, fsync=False) as wal:
-        for i, batch in enumerate(BATCHES):
-            pre_digests[i] = m2.dyn.content_digest()
-            wal.append(i, batch, state_digest=pre_digests[i])
-            m2.apply_batch(batch)
+    digest = save_snapshot(path, maintainer, extra=EXTRA, fsync=False)
     print("snapshot digest:", digest)
     print("cover:", np.nonzero(maintainer.cover)[0].tolist())
     print("dual_value:", maintainer.dual_value)
     print("cover_weight:", maintainer.cover_weight)
 
 
+def write_wal(path: str) -> None:
+    """The fixture batches, stamped with pre-apply digests as run_stream does."""
+    maintainer = IncrementalCoverMaintainer(
+        DynamicGraph(WeightedGraph.empty(5, weights=WEIGHTS))
+    )
+    with WriteAheadLog(path, fsync=False) as wal:
+        for i, batch in enumerate(BATCHES):
+            wal.append(i, batch, state_digest=maintainer.dyn.content_digest())
+            maintainer.apply_batch(batch)
+
+
+def main() -> int:
+    written = 0
+    for path, write in (
+        (snapshot_fixture(CHECKPOINT_FORMAT_VERSION), write_snapshot),
+        (wal_fixture(WAL_FORMAT_VERSION), write_wal),
+    ):
+        name = os.path.relpath(path)
+        if os.path.exists(path):
+            print(f"{name} exists; not overwriting it", file=sys.stderr)
+            continue
+        write(path)
+        print("wrote", name)
+        written += 1
+    return 0 if written else 1
+
+
 if __name__ == "__main__":
-    main()
+    sys.exit(main())

@@ -186,7 +186,7 @@ class TestStateExport:
     def test_export_is_deterministic(self, streamed_maintainer):
         a = streamed_maintainer.export_state()
         b = streamed_maintainer.export_state()
-        assert np.array_equal(a["dual_keys"], b["dual_keys"])
+        assert np.array_equal(a["dual_codes"], b["dual_codes"])
         assert np.array_equal(a["dual_values"], b["dual_values"])
 
     def test_from_state_validates_shapes(self, streamed_maintainer):

@@ -1,9 +1,10 @@
 """Golden-file format tests: the checked-in fixtures must keep loading.
 
 The fixtures under ``tests/recovery/data/`` were written by
-``make_golden.py`` with format version 1.  These tests pin the wire
-formats: they fail if a change to the snapshot or WAL layout slips in
-without a version bump, and they exercise the rejection paths a reader
+``make_golden.py`` and are named by format version: snapshot formats 1
+and 2 of one maintainer state, and WAL format 1.  These tests pin the
+wire formats: they fail if a change to the snapshot or WAL layout slips
+in without a version bump, and they exercise the rejection paths a reader
 must keep forever (future version, digest mismatch) plus the version-1 →
 version-2 migration (v2 stores ``dual_codes``; v1 files with two-column
 ``dual_keys`` must keep loading bit-exactly).
@@ -36,8 +37,11 @@ from repro.dynamic.checkpoint import (
 from tests.recovery.harness import assert_same_state
 
 DATA = os.path.join(os.path.dirname(__file__), "data")
-GOLDEN_SNAPSHOT = os.path.join(DATA, "golden_snapshot.npz")
-GOLDEN_WAL = os.path.join(DATA, "golden_wal.jsonl")
+GOLDEN_SNAPSHOT = os.path.join(DATA, "golden_snapshot_v1.npz")
+GOLDEN_SNAPSHOT_V2 = os.path.join(DATA, "golden_snapshot_v2.npz")
+GOLDEN_WAL = os.path.join(DATA, "golden_wal_v1.jsonl")
+#: The content digest ``save_snapshot`` stamped on the format-2 fixture.
+GOLDEN_V2_DIGEST = "88499037e64945fe4ace5094d82989da0649a72161cb4cbb1db8381dfb6611dc"
 
 
 class TestGoldenSnapshot:
@@ -131,6 +135,44 @@ class TestGoldenSnapshot:
         path.write_bytes(bytes(data))
         with pytest.raises(CheckpointCorruptionError):
             load_snapshot(path)
+
+
+class TestGoldenSnapshotV2:
+    """The format-2 fixture: the current writer and reader must keep it."""
+
+    def test_restores_to_known_state(self):
+        restored = load_snapshot(GOLDEN_SNAPSHOT_V2)
+        maintainer = restored.maintainer
+        assert restored.meta["n"] == 5 and restored.meta["m"] == 4
+        assert restored.meta["extra"] == {
+            "next_batch_index": 2,
+            "updates_applied": 7,
+        }
+        assert np.nonzero(maintainer.cover)[0].tolist() == [1, 3, 4]
+        assert maintainer.cover_weight == 5.5
+        assert maintainer.dual_value == 4.0
+        assert maintainer.edge_duals() == {
+            (0, 1): 1.0,
+            (0, 4): 2.0,
+            (2, 3): 1.0,
+        }
+        assert maintainer.batches_applied == 2
+        assert maintainer.verify()
+        assert_same_state(maintainer, load_snapshot(GOLDEN_SNAPSHOT).maintainer)
+
+    def test_format_version_is_2(self):
+        assert load_snapshot(GOLDEN_SNAPSHOT_V2).meta["format_version"] == 2
+
+    def test_writer_reproduces_the_stored_digest(self, tmp_path):
+        restored = load_snapshot(GOLDEN_SNAPSHOT_V2)
+        assert restored.meta["content_digest"] == GOLDEN_V2_DIGEST
+        digest = save_snapshot(
+            tmp_path / "again.npz",
+            restored.maintainer,
+            extra=restored.meta["extra"],
+            fsync=False,
+        )
+        assert digest == GOLDEN_V2_DIGEST
 
 
 class TestGoldenWAL:
