@@ -5,8 +5,10 @@ graphs mutate continuously.  This package maintains a valid, certified
 cover under edge churn and weight changes, re-solving only when the
 certificate drifts past a policy bound.  One engine does it: a single
 :class:`DynamicGraph`, one :class:`IncrementalCoverMaintainer`, and one
-per-batch stream loop.  The update events themselves live in
-:mod:`repro.graphs.updates` and are re-exported here.
+per-batch stream loop.  The update events and their columnar
+:class:`~repro.graphs.updates.UpdateBatch` live in
+:mod:`repro.graphs.updates` and are re-exported here; every batch is
+validated whole before it is logged or applied.
 
 :mod:`repro.dynamic.dynamic_graph`
     :class:`DynamicGraph` — delta log over the immutable
@@ -23,7 +25,8 @@ per-batch stream loop.  The update events themselves live in
 :mod:`repro.dynamic.policy`
     :class:`ResolvePolicy` — drift-bounded re-solve trigger.
 :mod:`repro.dynamic.ingest`
-    Update sources: a JSON-lines file or a directory of segments.
+    Update sources: a JSON-lines file or a directory of segments, each
+    decoded once into an :class:`~repro.graphs.updates.UpdateBatch`.
 :mod:`repro.dynamic.stream`
     :func:`run_stream` — batches, policy evaluation, and warm-started
     re-solves through the batch service (``repro stream``); plus
@@ -75,6 +78,7 @@ from repro.graphs.updates import (
     EdgeDelete,
     EdgeInsert,
     GraphUpdate,
+    UpdateBatch,
     WeightChange,
     load_update_stream,
     save_update_stream,
@@ -101,6 +105,7 @@ __all__ = [
     "StreamRecord",
     "StreamSummary",
     "TIMING_KEYS",
+    "UpdateBatch",
     "UpdateSource",
     "WALCorruptionError",
     "WALError",

@@ -18,6 +18,10 @@ re-canonicalizes only occasionally:
   once the structural delta exceeds a configurable fraction of the
   snapshot, so a stream of k updates costs O(k) amortized plus a rebuild
   every Θ(m) structural changes.
+* **Batch apply.**  :meth:`apply_batch` takes a whole
+  :class:`~repro.graphs.updates.UpdateBatch`, validates it, and applies
+  only each edge's *net* change with grouped array operations — no
+  per-event interpreter work; :meth:`apply` is its one-event form.
 
 Neighbor queries answer against the *current* graph — base CSR minus
 deletions plus insertions.  :meth:`neighbors` returns a flat ``int64``
@@ -37,19 +41,27 @@ key warm-started re-solves in the service result cache.
 
 from __future__ import annotations
 
-from typing import Dict, Optional, Set, Tuple
+from typing import Dict, Optional, Sequence, Set, Tuple, Union
 
 import numpy as np
 
 from repro.dynamic.duals import _SHIFT, decode_edge_codes, encode_edge_codes
 from repro.graphs.graph import WeightedGraph
-from repro.graphs.updates import EdgeDelete, EdgeInsert, GraphUpdate, WeightChange
+from repro.graphs.updates import OP_INSERT, OP_REWEIGHT, GraphUpdate, UpdateBatch
 
 __all__ = ["DynamicGraph"]
 
 #: Vertex ids must fit the ``u`` lane of an edge code with headroom for
 #: the sign bit: ``u << 32`` stays positive for ``u < 2**31``.
 _MAX_N = 1 << 31
+
+
+def _group_heads(keys: np.ndarray) -> np.ndarray:
+    """Start index of each run of equal values in a sorted, nonempty array."""
+    first = np.empty(keys.size, dtype=bool)
+    first[0] = True
+    np.not_equal(keys[1:], keys[:-1], out=first[1:])
+    return np.flatnonzero(first)
 
 
 def _sorted_member(sorted_codes: np.ndarray, codes: np.ndarray) -> np.ndarray:
@@ -158,7 +170,7 @@ class DynamicGraph:
 
     @property
     def weights(self) -> np.ndarray:
-        """Current vertex weights (live array — mutate via :meth:`apply` only)."""
+        """Current vertex weights (live array — mutate via :meth:`apply_batch` only)."""
         return self._weights
 
     @property
@@ -190,10 +202,6 @@ class DynamicGraph:
     # ------------------------------------------------------------------ #
     # queries
     # ------------------------------------------------------------------ #
-    @staticmethod
-    def _key(u: int, v: int) -> Tuple[int, int]:
-        return (u, v) if u < v else (v, u)
-
     def _check_vertex(self, v: int) -> int:
         v = int(v)
         if not (0 <= v < self._n):
@@ -337,82 +345,113 @@ class DynamicGraph:
 
         Inserting a present edge, deleting an absent edge, and re-setting a
         weight to its current value are all no-ops returning False — a
-        replayed stream is idempotent per event.
+        replayed stream is idempotent per event.  A one-event
+        :meth:`apply_batch`.
         """
-        if isinstance(update, EdgeInsert):
-            return self._insert(update.u, update.v)
-        if isinstance(update, EdgeDelete):
-            return self._delete(update.u, update.v)
-        if isinstance(update, WeightChange):
-            return self._reweight(update.v, update.weight)
-        raise TypeError(f"not a graph update: {type(update).__name__}")
+        return bool(self.apply_batch([update])[0])
 
-    def _set_alive(self, code: int, alive: bool) -> int:
-        """Flip both directed CSR slots of a base edge; returns its id."""
-        e = int(np.searchsorted(self._base_codes, code))
-        self._alive[self._slot_uv[e]] = alive
-        self._alive[self._slot_vu[e]] = alive
-        return e
+    def apply_batch(
+        self, updates: Union[UpdateBatch, Sequence[GraphUpdate]]
+    ) -> np.ndarray:
+        """Apply a batch in order; returns each event's *effective* flag.
 
-    def _insert(self, u: int, v: int) -> bool:
-        u, v = self._check_vertex(u), self._check_vertex(v)
-        if u == v:
-            raise ValueError(f"self-loop at vertex {u} is not allowed")
-        if u > v:
-            u, v = v, u
-        code = (u << _SHIFT) | v
-        if code in self._added_codes:
-            return False
-        if code in self._base_code_set:
-            if code not in self._deleted_codes:
-                return False
-            self._deleted_codes.remove(code)
-            self._base_keep[self._set_alive(code, True)] = True
-        else:
-            self._added_codes.add(code)
-            self._added_adj.setdefault(u, set()).add(v)
-            self._added_adj.setdefault(v, set()).add(u)
-        self._degrees[u] += 1
-        self._degrees[v] += 1
-        self._touch()
-        return True
+        The batch is validated first (:meth:`UpdateBatch.validate`), so an
+        invalid event raises ``ValueError`` with nothing applied.  The
+        result is exactly that of applying the events one at a time, but
+        computed with grouped array operations:
 
-    def _delete(self, u: int, v: int) -> bool:
-        u, v = self._check_vertex(u), self._check_vertex(v)
-        if u == v:
-            return False
-        if u > v:
-            u, v = v, u
-        code = (u << _SHIFT) | v
-        if code in self._added_codes:
-            self._added_codes.remove(code)
-            self._added_adj[u].discard(v)
-            self._added_adj[v].discard(u)
-        elif code in self._base_code_set and code not in self._deleted_codes:
-            self._deleted_codes.add(code)
-            self._base_keep[self._set_alive(code, False)] = False
-        else:
-            return False
-        self._degrees[u] -= 1
-        self._degrees[v] -= 1
-        self._touch()
-        return True
+        * edge events are stable-sorted by edge code.  After any event on
+          a code the edge is present iff that event was an insert, so an
+          event is effective iff it disagrees with the previous event on
+          its code — or, for a code's first event, with one vectorized
+          :meth:`has_edges` over the batch's distinct codes;
+        * only each code's *net* change touches the structure: bulk set
+          updates, one ``searchsorted`` for the base-CSR slot flips, and
+          ``np.add.at`` on the degree vector;
+        * reweights group by vertex the same way: effective iff the weight
+          differs from the vertex's previous one, and each vertex takes
+          its last weight.
 
-    def _reweight(self, v: int, weight: float) -> bool:
-        v = self._check_vertex(v)
-        weight = float(weight)
-        if not np.isfinite(weight) or weight <= 0:
-            raise ValueError(f"vertex weights must be finite and > 0, got {weight}")
-        if self._weights[v] == weight:
-            return False
-        self._weights[v] = weight
-        self._touch()
-        return True
+        A self-loop delete is a no-op (never effective).
+        """
+        batch = UpdateBatch.from_updates(updates)
+        batch.validate(self._n)
+        effective = np.zeros(len(batch), dtype=bool)
+        changed = self._apply_edge_events(batch, effective)
+        changed += self._apply_reweights(batch, effective)
+        if changed:
+            self._generation += changed
+            self._materialized = None
+            self._delta_arrays = None
+        return effective
 
-    def _touch(self) -> None:
-        self._generation += 1
-        self._materialized = None
-        self._delta_arrays = None
+    def _apply_edge_events(self, batch: UpdateBatch, effective: np.ndarray) -> int:
+        rows = np.flatnonzero((batch.op != OP_REWEIGHT) & (batch.u != batch.v))
+        if not rows.size:
+            return 0
+        u, v = batch.u[rows], batch.v[rows]
+        codes = encode_edge_codes(np.minimum(u, v), np.maximum(u, v))
+        order = np.argsort(codes, kind="stable")
+        rows, codes = rows[order], codes[order]
+        inserts = batch.op[rows] == OP_INSERT
+        heads = _group_heads(codes)
+        group_codes = codes[heads]
+        present = self.has_edges(*decode_edge_codes(group_codes))
+        before = np.empty(codes.size, dtype=bool)
+        before[1:] = inserts[:-1]
+        before[heads] = present
+        eff = inserts != before
+        effective[rows] = eff
+        after = inserts[np.append(heads[1:], codes.size) - 1]
+        flip = after != present
+        if flip.any():
+            self._flip_edges(group_codes[flip], after[flip])
+        return int(np.count_nonzero(eff))
+
+    def _flip_edges(self, codes: np.ndarray, add: np.ndarray) -> None:
+        """Net structural change: insert ``codes[add]``, delete the rest."""
+        in_base = _sorted_member(self._base_codes, codes)
+        if in_base.any():
+            base, alive = codes[in_base], add[in_base]
+            e = np.searchsorted(self._base_codes, base)
+            self._alive[self._slot_uv[e]] = alive
+            self._alive[self._slot_vu[e]] = alive
+            self._base_keep[e] = alive
+            self._deleted_codes.difference_update(base[alive].tolist())
+            self._deleted_codes.update(base[~alive].tolist())
+        if not in_base.all():
+            over, new = codes[~in_base], add[~in_base]
+            adj = self._added_adj
+            au, av = decode_edge_codes(over[new])
+            self._added_codes.update(over[new].tolist())
+            for a, b in zip(au.tolist(), av.tolist()):
+                adj.setdefault(a, set()).add(b)
+                adj.setdefault(b, set()).add(a)
+            du, dv = decode_edge_codes(over[~new])
+            self._added_codes.difference_update(over[~new].tolist())
+            for a, b in zip(du.tolist(), dv.tolist()):
+                adj[a].discard(b)
+                adj[b].discard(a)
+        lo, hi = decode_edge_codes(codes)
+        delta = np.where(add, 1, -1)
+        np.add.at(self._degrees, lo, delta)
+        np.add.at(self._degrees, hi, delta)
+
+    def _apply_reweights(self, batch: UpdateBatch, effective: np.ndarray) -> int:
+        rows = np.flatnonzero(batch.op == OP_REWEIGHT)
+        if not rows.size:
+            return 0
+        rows = rows[np.argsort(batch.v[rows], kind="stable")]
+        vs, ws = batch.v[rows], batch.w[rows]
+        heads = _group_heads(vs)
+        before = np.empty(ws.size, dtype=np.float64)
+        before[1:] = ws[:-1]
+        before[heads] = self._weights[vs[heads]]
+        eff = ws != before
+        effective[rows] = eff
+        last = np.append(heads[1:], ws.size) - 1
+        self._weights[vs[last]] = ws[last]
+        return int(np.count_nonzero(eff))
 
     # ------------------------------------------------------------------ #
     # materialization / compaction

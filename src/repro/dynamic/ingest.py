@@ -4,7 +4,16 @@ A stream may arrive as a JSON-lines file (plain or gzipped) or a
 directory of numbered segment files (the shape a log-shipping producer
 writes — see :func:`repro.graphs.updates.save_update_stream_segments`).
 :func:`open_update_source` opens either as an :class:`UpdateSource`, and
-:func:`iter_update_batches` chops a decoded sequence into repair batches.
+:func:`iter_update_batches` chops a decoded stream into repair batches.
+
+Every source decodes through the one JSON-lines decoder,
+:meth:`repro.graphs.updates.UpdateBatch.from_json_lines`, and
+:meth:`UpdateSource.collect` returns the whole stream as one columnar
+:class:`~repro.graphs.updates.UpdateBatch`, decoded once.  Decode errors
+name their 1-based line (and, for a directory, the segment file);
+checking the events against the graph is
+:meth:`~repro.graphs.updates.UpdateBatch.validate`'s job, done by the
+stream engine before anything is logged or applied.
 """
 
 from __future__ import annotations
@@ -14,7 +23,7 @@ import os
 import re
 from typing import Iterator, List, Sequence, Union
 
-from repro.graphs.updates import GraphUpdate, load_update_stream
+from repro.graphs.updates import GraphUpdate, UpdateBatch, load_update_stream
 
 __all__ = [
     "DirectorySource",
@@ -28,14 +37,23 @@ PathLike = Union[str, "os.PathLike[str]"]
 
 
 class UpdateSource:
-    """An iterable of :data:`GraphUpdate` events in stream order."""
+    """A stream of :data:`GraphUpdate` events, decoded part by part.
 
-    def __iter__(self) -> Iterator[GraphUpdate]:  # pragma: no cover - abstract
+    Subclasses implement :meth:`parts`; :meth:`collect` (the one decode
+    entry point) joins them and iteration yields the events.
+    """
+
+    def parts(self) -> Iterator[UpdateBatch]:  # pragma: no cover - abstract
+        """The source's decoded pieces (one per file), in stream order."""
         raise NotImplementedError
 
-    def collect(self) -> List[GraphUpdate]:
-        """Decode the whole source into a list."""
-        return list(self)
+    def collect(self) -> UpdateBatch:
+        """Decode the whole source into one columnar batch."""
+        return UpdateBatch.concat(list(self.parts()))
+
+    def __iter__(self) -> Iterator[GraphUpdate]:
+        for part in self.parts():
+            yield from part
 
 
 class FileSource(UpdateSource):
@@ -44,8 +62,8 @@ class FileSource(UpdateSource):
     def __init__(self, path: PathLike):
         self.path = os.fspath(path)
 
-    def __iter__(self) -> Iterator[GraphUpdate]:
-        return iter(load_update_stream(self.path))
+    def parts(self) -> Iterator[UpdateBatch]:
+        yield load_update_stream(self.path)
 
 
 class DirectorySource(UpdateSource):
@@ -56,6 +74,8 @@ class DirectorySource(UpdateSource):
     custom glob for differently named logs.  An empty directory is an
     empty stream; a directory with no matching files raises (a typo'd
     pattern must not silently read zero updates from a populated log).
+    A decode error names the segment file and its line; once segments are
+    joined, validation errors name the stream position.
     """
 
     def __init__(self, directory: PathLike, *, pattern: str = "*.jsonl*"):
@@ -81,9 +101,12 @@ class DirectorySource(UpdateSource):
 
         return sorted(paths, key=natural)
 
-    def __iter__(self) -> Iterator[GraphUpdate]:
+    def parts(self) -> Iterator[UpdateBatch]:
         for path in self.segments():
-            yield from load_update_stream(path)
+            try:
+                yield load_update_stream(path)
+            except ValueError as exc:
+                raise ValueError(f"{path}: {exc}") from exc
 
 
 def open_update_source(spec: Union[UpdateSource, PathLike]) -> UpdateSource:
@@ -103,9 +126,13 @@ def open_update_source(spec: Union[UpdateSource, PathLike]) -> UpdateSource:
 
 def iter_update_batches(
     updates: Sequence[GraphUpdate], batch_size: int
-) -> Iterator[List[GraphUpdate]]:
-    """Slice ``updates`` into lists of at most ``batch_size`` events."""
+) -> Iterator[Sequence[GraphUpdate]]:
+    """Slice ``updates`` into runs of at most ``batch_size`` events.
+
+    The slices have the input's own type: an :class:`UpdateBatch` yields
+    column views, a list yields lists.
+    """
     if batch_size < 1:
         raise ValueError(f"batch_size must be >= 1, got {batch_size}")
     for start in range(0, len(updates), batch_size):
-        yield list(updates[start : start + batch_size])
+        yield updates[start : start + batch_size]

@@ -22,10 +22,14 @@ re-solving from scratch.  The invariants after every
    are covered; untouched vertices keep their state, so the pass is
    O(batch-neighborhood), not O(n).
 
-The hot path runs the vectorized kernels of :mod:`repro.dynamic.repair`
-over the dynamic graph's CSR-delta arrays.  The original object-at-a-time
-kernels live on as a test oracle (``tests/dynamic/reference_kernels.py``);
-``tests/properties/test_property_kernels`` holds the two bit-identical.
+The hot path is array-at-a-time end to end: a batch arrives as a columnar
+:class:`~repro.graphs.updates.UpdateBatch`, :meth:`DynamicGraph.apply_batch`
+applies it with grouped array operations, and the vectorized kernels of
+:mod:`repro.dynamic.repair` run over the dynamic graph's CSR-delta arrays.
+The original object-at-a-time event loop and kernels live on as test
+oracles (``tests/dynamic/reference_kernels.py``);
+``tests/properties/test_property_kernels`` and
+``tests/properties/test_property_batch_apply`` hold them bit-identical.
 
 The certificate degrades (``drift``) as churn accumulates — deletions strand
 cover weight whose paying edges are gone, weight changes bend the dual
@@ -38,7 +42,7 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass
-from typing import Dict, Iterable, List, Optional, Sequence, Set, Tuple
+from typing import Dict, List, NamedTuple, Optional, Sequence, Set, Tuple, Union
 
 import numpy as np
 
@@ -46,6 +50,7 @@ from repro.core.certificates import CoverCertificate
 from repro.core.postprocess import prune_redundant_vertices
 from repro.core.result import MWVCResult
 from repro.dynamic.duals import (
+    _MASK,
     _SHIFT,
     decode_edge_codes,
     encode_edge_codes,
@@ -57,7 +62,13 @@ from repro.dynamic.repair import (
     greedy_prune_pass,
     pricing_repair_pass,
 )
-from repro.graphs.updates import EdgeDelete, EdgeInsert, GraphUpdate, WeightChange
+from repro.graphs.updates import (
+    OP_DELETE,
+    OP_INSERT,
+    OP_REWEIGHT,
+    GraphUpdate,
+    UpdateBatch,
+)
 
 __all__ = ["IncrementalCoverMaintainer", "BatchReport"]
 
@@ -131,6 +142,23 @@ class BatchReport:
         # `drift` stays the last key, matching the historical row layout.
         row["drift"] = row.pop("drift")
         return row
+
+
+class AppliedEvents(NamedTuple):
+    """What the event phase of :meth:`IncrementalCoverMaintainer.apply_batch`
+    hands to repair and prune."""
+
+    inserts: int
+    deletes: int
+    reweights: int
+    #: Dual mass of deleted edges, summed in event order.
+    retired: float
+    #: Endpoints of effective edge events and effectively reweighted
+    #: vertices (repeats allowed).
+    touched: np.ndarray
+    #: Effective inserts whose endpoints were both outside the cover, as
+    #: canonical ``(u, v)`` keys in sorted order.
+    uncovered: List[Tuple[int, int]]
 
 
 class IncrementalCoverMaintainer:
@@ -374,47 +402,37 @@ class IncrementalCoverMaintainer:
     # ------------------------------------------------------------------ #
     # the incremental path
     # ------------------------------------------------------------------ #
-    def apply_batch(self, updates: Sequence[GraphUpdate]) -> BatchReport:
+    def apply_batch(
+        self, updates: Union[UpdateBatch, Sequence[GraphUpdate]]
+    ) -> BatchReport:
         """Apply a batch of updates and repair the cover locally.
 
-        The repair budget is proportional to the batch's touched
+        The batch is an :class:`~repro.graphs.updates.UpdateBatch` (a
+        plain sequence of events is converted once).  It is validated as a
+        whole before anything mutates, so an invalid event raises
+        ``ValueError`` and leaves the maintainer untouched.
+        :meth:`DynamicGraph.apply_batch` applies it with grouped array
+        operations and returns each event's effective flag; the touched
+        vertices, the uncovered inserted edges and the in-order list of
+        deleted edges whose duals retire all come from masks over those
+        flags.  The repair budget is proportional to the batch's touched
         neighborhood: uncovered inserted edges are patched by the pricing
         rule, then touched vertices are pruned greedily.  The certificate
         in the returned report reflects the post-repair state.
         """
-        updates = list(updates)
-        dyn = self.dyn
+        batch = UpdateBatch.from_updates(updates)
         t_start = time.perf_counter()
-        applied = inserts = deletes = reweights = 0
-        retired = 0.0
-        touched: Set[int] = set()
-        uncovered: List[Tuple[int, int]] = []
-
-        for upd in updates:
-            changed = dyn.apply(upd)
-            if not changed:
-                continue
-            applied += 1
-            if isinstance(upd, EdgeInsert):
-                inserts += 1
-                key = dyn._key(int(upd.u), int(upd.v))
-                touched.update(key)
-                if not (self._cover[key[0]] or self._cover[key[1]]):
-                    uncovered.append(key)
-            elif isinstance(upd, EdgeDelete):
-                deletes += 1
-                key = dyn._key(int(upd.u), int(upd.v))
-                touched.update(key)
-                retired += self._retire_dual(key)
-            elif isinstance(upd, WeightChange):
-                reweights += 1
-                touched.add(int(upd.v))
+        events = self._apply_events(batch)
         t_applied = time.perf_counter()
 
-        repaired, entered = self._repair(uncovered)
-        touched |= entered
+        repaired, entered = self._repair(events.uncovered)
         t_repaired = time.perf_counter()
-        pruned = self._prune_touched(touched)
+        pruned = self._prune_touched(
+            np.union1d(
+                events.touched,
+                np.fromiter(entered, dtype=np.int64, count=len(entered)),
+            )
+        )
         t_pruned = time.perf_counter()
         # Amortized: fold the delta log into a fresh snapshot once it
         # outgrows the base (the maintainer's edge-code-keyed state is
@@ -426,15 +444,15 @@ class IncrementalCoverMaintainer:
         self._batches += 1
         cert = self.certificate()
         report = BatchReport(
-            num_updates=len(updates),
-            applied=applied,
-            inserts=inserts,
-            deletes=deletes,
-            reweights=reweights,
+            num_updates=len(batch),
+            applied=events.inserts + events.deletes + events.reweights,
+            inserts=events.inserts,
+            deletes=events.deletes,
+            reweights=events.reweights,
             repaired_edges=repaired,
             added_to_cover=len(entered),
             pruned_from_cover=pruned,
-            retired_dual=retired,
+            retired_dual=events.retired,
             certificate=cert,
             drift=self.drift(),
         )
@@ -446,23 +464,57 @@ class IncrementalCoverMaintainer:
         }
         return report
 
-    def _retire_dual(self, key: Tuple[int, int]) -> float:
-        """Drop a deleted edge's dual; returns the retired mass."""
-        pay = self._x.pop((key[0] << _SHIFT) | key[1], 0.0)
-        if pay:
-            for t in key:
-                self._loads[t] -= pay
-                if self._loads[t] < 0.0:  # accumulated float noise
-                    self._loads[t] = 0.0
+    def _apply_events(self, batch: UpdateBatch) -> AppliedEvents:
+        """Apply the batch to the graph and retire the deleted edges' duals."""
+        effective = self.dyn.apply_batch(batch)
+        op = batch.op
+        ins = effective & (op == OP_INSERT)
+        dels = effective & (op == OP_DELETE)
+        rw = effective & (op == OP_REWEIGHT)
+        edge = ins | dels
+        lo = np.minimum(batch.u, batch.v)
+        hi = np.maximum(batch.u, batch.v)
+        # The cover does not change before repair, so "arrived uncovered"
+        # is one gather at batch-start cover state.
+        iu, iv = lo[ins], hi[ins]
+        free = ~(self._cover[iu] | self._cover[iv])
+        uncovered = np.unique(encode_edge_codes(iu[free], iv[free]))
+        cu, cv = decode_edge_codes(uncovered)
+        return AppliedEvents(
+            inserts=int(np.count_nonzero(ins)),
+            deletes=int(np.count_nonzero(dels)),
+            reweights=int(np.count_nonzero(rw)),
+            retired=self._retire_duals(encode_edge_codes(lo[dels], hi[dels])),
+            touched=np.concatenate([lo[edge], hi[edge], batch.v[rw]]),
+            uncovered=list(zip(cu.tolist(), cv.tolist())),
+        )
+
+    def _retire_duals(self, codes: np.ndarray) -> float:
+        """Drop deleted edges' duals in event order; returns the retired mass."""
+        x = self._x
+        if not x or not codes.size:
+            return 0.0
+        loads = self._loads
+        retired = 0.0
+        for code in codes.tolist():
+            pay = x.pop(code, 0.0)
+            if not pay:
+                continue
+            for t in (code >> _SHIFT, code & _MASK):
+                loads[t] -= pay
+                if loads[t] < 0.0:  # accumulated float noise
+                    loads[t] = 0.0
             self._dual_value -= pay
             if self._dual_value < 0.0:
                 self._dual_value = 0.0
-        return pay
+            retired += pay
+        return retired
 
-    def _repair(self, uncovered: Iterable[Tuple[int, int]]) -> Tuple[int, Set[int]]:
+    def _repair(self, uncovered: List[Tuple[int, int]]) -> Tuple[int, Set[int]]:
         """Patch uncovered edges via the pricing-repair kernel.
 
-        For each still-uncovered edge, raise its dual by the smaller
+        ``uncovered`` holds canonical keys in sorted order.  For each
+        still-uncovered edge, raise its dual by the smaller
         endpoint residual ``w − y``; every endpoint whose residual is
         exhausted enters the cover.  An endpoint already fully paid
         (residual ≤ 0, possible after an adopted solve with load factor
@@ -470,7 +522,7 @@ class IncrementalCoverMaintainer:
         :func:`repro.dynamic.repair.pricing_repair_pass`.
         """
         outcome = pricing_repair_pass(
-            sorted(set(uncovered)),
+            uncovered,
             weights=self.dyn.weights,
             cover=self._cover,
             loads=self._loads,
@@ -481,17 +533,18 @@ class IncrementalCoverMaintainer:
         self._dual_value = outcome.dual_value
         return outcome.repaired, outcome.entered
 
-    def _prune_touched(self, touched: Set[int]) -> int:
+    def _prune_touched(self, touched: np.ndarray) -> int:
         """Greedy redundancy pruning restricted to the touched vertices.
 
+        ``touched`` is a sorted array of distinct vertex ids.
         The kernel walks the dynamic CSR directly — O(batch
         neighborhood), *never* materializing the graph: decreasing
         ``w/deg`` order, droppable iff every incident edge's other
         endpoint is covered, and dropping ``v`` locks its neighbors —
         each now solely covers its edge to ``v``.
         """
-        candidates = [v for v in touched if self._cover[v]]
-        if not candidates:
+        candidates = touched[self._cover[touched]]
+        if not candidates.size:
             return 0
         pruned = greedy_prune_pass(
             candidates, weights=self.dyn.weights, cover=self._cover, graph=self.dyn

@@ -186,9 +186,11 @@ def greedy_prune_pass(
     neighbors are locked, so the pass-start droppability mask never
     disagrees with a live re-check for an unlocked candidate.
     """
-    cand = np.fromiter(
-        (v for v in candidates if cover[v]), dtype=np.int64
-    )
+    if isinstance(candidates, np.ndarray):
+        cand = candidates.astype(np.int64, copy=False)
+    else:
+        cand = np.fromiter(candidates, dtype=np.int64)
+    cand = cand[cover[cand]]
     if cand.size == 0:
         return []
 

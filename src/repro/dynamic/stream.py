@@ -64,6 +64,7 @@ from repro.graphs.graph import WeightedGraph
 from repro.graphs.io import load_npz, save_npz, write_bytes_atomic
 from repro.graphs.updates import (
     GraphUpdate,
+    UpdateBatch,
     load_update_stream,
     save_update_stream,
 )
@@ -430,8 +431,11 @@ class _StreamEngine:
 
     # -- one batch ------------------------------------------------------- #
     def process_batch(
-        self, index: int, batch: List[GraphUpdate], *, log_to_wal: bool
+        self, index: int, batch: UpdateBatch, *, log_to_wal: bool
     ) -> StreamRecord:
+        # Validate before the write-ahead commit: a batch that cannot apply
+        # must never reach the log, or every resume would replay it and fail.
+        batch.validate(self.maintainer.dyn.n)
         timings = dict.fromkeys(TIMING_KEYS, 0.0)
         if log_to_wal and self.wal is not None:
             t_wal = time.perf_counter()
@@ -477,9 +481,7 @@ class _StreamEngine:
             self.write_snapshot(index + 1)
         return record
 
-    def run(
-        self, updates: Sequence[GraphUpdate], batch_size: int, start_index: int
-    ) -> None:
+    def run(self, updates: UpdateBatch, batch_size: int, start_index: int) -> None:
         """Log and process ``updates`` batch by batch, then snapshot."""
         index = start_index
         for batch in iter_update_batches(updates, batch_size):
@@ -516,7 +518,7 @@ class _StreamEngine:
 def _write_config(
     checkpoint: CheckpointConfig,
     graph: WeightedGraph,
-    updates: Sequence[GraphUpdate],
+    updates: UpdateBatch,
     *,
     batch_size: int,
     policy: ResolvePolicy,
@@ -556,7 +558,7 @@ def _write_config(
 def _prepare_checkpoint_dir(
     checkpoint: CheckpointConfig,
     graph: WeightedGraph,
-    updates: Sequence[GraphUpdate],
+    updates: UpdateBatch,
     **config_params,
 ) -> None:
     directory = os.fspath(checkpoint.directory)
@@ -574,7 +576,7 @@ def _prepare_checkpoint_dir(
 
 def run_stream(
     graph: WeightedGraph,
-    updates: Sequence[GraphUpdate],
+    updates: Union[UpdateBatch, Sequence[GraphUpdate]],
     *,
     batch_size: int = 64,
     policy: Optional[ResolvePolicy] = None,
@@ -593,7 +595,10 @@ def run_stream(
     graph:
         Initial graph; solved once up front to seed the maintainer.
     updates:
-        The update stream (see :mod:`repro.graphs.updates`).
+        The update stream (see :mod:`repro.graphs.updates`): an
+        :class:`~repro.graphs.updates.UpdateBatch`, or a sequence of
+        events converted to one once.  The whole stream is validated
+        against ``graph`` before anything is written or applied.
     batch_size:
         Updates per repair batch (the granularity of policy evaluation).
     policy:
@@ -624,6 +629,10 @@ def run_stream(
 
     Raises
     ------
+    ValueError
+        If an update cannot apply to ``graph`` (a vertex out of range, a
+        self-loop insert, a bad weight); the message names the input line
+        or stream position, and nothing has been written.
     RuntimeError
         If a re-solve fails, or a verification pass catches an invalid
         cover (which would be a maintainer bug, not a data error).
@@ -632,6 +641,8 @@ def run_stream(
     """
     if batch_size < 1:
         raise ValueError(f"batch_size must be >= 1, got {batch_size}")
+    updates = UpdateBatch.from_updates(updates)
+    updates.validate(graph.n)
     policy = policy or ResolvePolicy()
     if checkpoint is not None:
         _prepare_checkpoint_dir(
@@ -719,7 +730,7 @@ def _load_config(checkpoint: CheckpointConfig) -> dict:
 def resume_stream(
     directory: PathLike,
     *,
-    updates: Optional[Sequence[GraphUpdate]] = None,
+    updates: Optional[Union[UpdateBatch, Sequence[GraphUpdate]]] = None,
     solver: Optional[BatchSolver] = None,
 ) -> StreamSummary:
     """Resume a checkpointed stream after a crash (or completion).
@@ -739,7 +750,9 @@ def resume_stream(
        cold-start from ``graph.npz`` and replay the WAL from batch 0;
     4. replay the WAL records past the snapshot through the exact
        per-batch machinery of :func:`run_stream` (each record's pre-apply
-       digest is verified when stamped);
+       digest is verified when stamped, and a record that cannot apply —
+       one written by an older build that logged before validating — is
+       a :class:`CheckpointError` naming its batch);
     5. continue with the remaining updates from the stored stream,
        write-ahead-logging and snapshotting as usual.
 
@@ -761,8 +774,10 @@ def resume_stream(
     ------
     CheckpointError
         Missing/invalid checkpoint pieces (no config, corrupt snapshot or
-        WAL, a WAL gap the snapshot cannot bridge, or a stream/WAL state
-        mismatch).
+        WAL, a WAL gap the snapshot cannot bridge, an unreplayable WAL
+        batch, or a stream/WAL state mismatch).
+    ValueError
+        If an update of the continuation cannot apply to the graph.
     """
     config = _load_config(CheckpointConfig(directory=directory))
     checkpoint = CheckpointConfig(
@@ -783,6 +798,7 @@ def resume_stream(
                 f"checkpoint {os.fspath(directory)} has no stored update "
                 f"stream ({_UPDATES_FILE}); pass the stream explicitly"
             ) from None
+    updates = UpdateBatch.from_updates(updates)
     if len(updates) != int(config["num_updates"]):
         raise CheckpointError(
             f"update stream length {len(updates)} does not match the "
@@ -891,7 +907,13 @@ def resume_stream(
                         f"reached {current[:12]}… — snapshot/WAL/stream "
                         f"mismatch"
                     )
-            engine_.process_batch(expected, list(record.updates), log_to_wal=False)
+            try:
+                record.updates.validate(maintainer.dyn.n)
+            except ValueError as exc:
+                raise CheckpointError(
+                    f"WAL batch {record.batch_index} cannot be replayed: {exc}"
+                ) from exc
+            engine_.process_batch(expected, record.updates, log_to_wal=False)
             expected += 1
         if engine_.updates_applied > len(updates):
             raise CheckpointError(
@@ -900,9 +922,11 @@ def resume_stream(
             )
 
         # ---- continue with the uncommitted remainder ------------------ #
+        remaining = updates[engine_.updates_applied :]
+        remaining.validate(maintainer.dyn.n)
         wal = WriteAheadLog(checkpoint.wal_path, fsync=checkpoint.fsync)
         engine_.wal = wal
-        engine_.run(updates[engine_.updates_applied :], batch_size, expected)
+        engine_.run(remaining, batch_size, expected)
     finally:
         if wal is not None:
             wal.close()

@@ -22,11 +22,15 @@ Record wire format (one per line)::
      "state_digest": "...", "crc": 123456789}
 
 ``crc`` is ``zlib.crc32`` over the canonical (sorted-keys, no-whitespace)
-JSON of the record without the ``crc`` key.  ``state_digest`` optionally
-stamps the content digest of the graph the batch applies *to* (the
-pre-apply state — the stamp is taken before the write-ahead commit, when
-the batch has not run yet), letting replay verify, record by record, that
-it reached the same graph the original run saw.
+JSON of the record without the ``crc`` key.  The writer formats both the
+checksummed text and the line once, straight from the batch's columns
+(:meth:`~repro.graphs.updates.UpdateBatch.json_lines`), byte-identical to
+``json.dumps(..., sort_keys=True, separators=(",", ":"))``, which is what
+the reader checks the CRC against.  ``state_digest`` optionally stamps
+the content digest of the graph the batch applies *to* (the pre-apply
+state — the stamp is taken before the write-ahead commit, when the batch
+has not run yet), letting replay verify, record by record, that it
+reached the same graph the original run saw.
 """
 
 from __future__ import annotations
@@ -37,7 +41,7 @@ import zlib
 from dataclasses import dataclass
 from typing import List, Optional, Sequence, Tuple, Union
 
-from repro.graphs.updates import GraphUpdate, update_from_json, update_to_json
+from repro.graphs.updates import GraphUpdate, UpdateBatch
 
 __all__ = [
     "WAL_FORMAT_VERSION",
@@ -72,7 +76,7 @@ class WALRecord:
     batch_index:
         Zero-based position of the batch in the stream.
     updates:
-        The batch's update events, in application order.
+        The batch's update events, in application order, as columns.
     state_digest:
         Content digest of the graph the batch applies *to* (the pre-apply
         state; empty when the writer did not stamp one).  Replay checks it
@@ -82,19 +86,22 @@ class WALRecord:
     """
 
     batch_index: int
-    updates: Tuple[GraphUpdate, ...]
+    updates: UpdateBatch
     state_digest: str = ""
 
-    def to_payload(self) -> dict:
-        """The record's wire object, without the checksum."""
-        payload = {
-            "v": WAL_FORMAT_VERSION,
-            "batch_index": int(self.batch_index),
-            "updates": [update_to_json(u) for u in self.updates],
-        }
-        if self.state_digest:
-            payload["state_digest"] = self.state_digest
-        return payload
+    def to_line(self) -> str:
+        """The record's wire line (no newline), checksum included."""
+        body = ",".join(self.updates.json_lines(compact=True))
+        stamp = (
+            f'"state_digest":{json.dumps(self.state_digest)},'
+            if self.state_digest
+            else ""
+        )
+        # Sorted keys: batch_index < crc < state_digest < updates < v.
+        head = f'{{"batch_index":{int(self.batch_index)},'
+        tail = f'{stamp}"updates":[{body}],"v":{WAL_FORMAT_VERSION}}}'
+        crc = zlib.crc32((head + tail).encode("utf-8"))
+        return f'{head}"crc":{crc},{tail}'
 
     @classmethod
     def from_payload(cls, payload: dict) -> "WALRecord":
@@ -107,7 +114,7 @@ class WALRecord:
             )
         try:
             batch_index = int(payload["batch_index"])
-            updates = tuple(update_from_json(u) for u in payload["updates"])
+            updates = UpdateBatch.from_json_objects(payload["updates"])
         except (KeyError, TypeError, ValueError) as exc:
             raise WALCorruptionError(f"malformed WAL record body: {exc}") from exc
         return cls(
@@ -158,21 +165,22 @@ class WriteAheadLog:
     def append(
         self,
         batch_index: int,
-        updates: Sequence[GraphUpdate],
+        updates: Union[UpdateBatch, Sequence[GraphUpdate]],
         *,
         state_digest: str = "",
     ) -> WALRecord:
-        """Commit one batch record; returns the record as written."""
+        """Commit one batch record; returns the record as written.
+
+        The line is encoded once, from the batch's columns.
+        """
         if self._fh is None:
             raise WALError("WAL is closed")
         record = WALRecord(
             batch_index=int(batch_index),
-            updates=tuple(updates),
+            updates=UpdateBatch.from_updates(updates),
             state_digest=state_digest,
         )
-        payload = record.to_payload()
-        payload["crc"] = _crc(payload)
-        line = json.dumps(payload, sort_keys=True, separators=(",", ":"))
+        line = record.to_line()
         self._fh.write(line)
         self._fh.write("\n")
         self._fh.flush()
@@ -284,12 +292,7 @@ def compact_wal(path: PathLike, min_batch_index: int, *, fsync: bool = True) -> 
     keep = [r for r in records if r.batch_index >= int(min_batch_index)]
     if len(keep) == len(records) and not torn:
         return 0
-    lines = []
-    for record in keep:
-        payload = record.to_payload()
-        payload["crc"] = _crc(payload)
-        lines.append(json.dumps(payload, sort_keys=True, separators=(",", ":")))
-    data = ("".join(line + "\n" for line in lines)).encode("utf-8")
+    data = "".join(record.to_line() + "\n" for record in keep).encode("utf-8")
     from repro.graphs.io import write_bytes_atomic
 
     try:

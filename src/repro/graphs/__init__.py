@@ -46,6 +46,7 @@ from repro.graphs.updates import (
     EdgeDelete,
     EdgeInsert,
     GraphUpdate,
+    UpdateBatch,
     WeightChange,
     load_update_stream,
     save_update_stream,
@@ -77,6 +78,7 @@ __all__ = [
     "EdgeDelete",
     "WeightChange",
     "GraphUpdate",
+    "UpdateBatch",
     "load_update_stream",
     "save_update_stream",
     "CHURN_MODELS",

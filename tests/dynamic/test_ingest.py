@@ -13,6 +13,7 @@ from repro.dynamic.ingest import (
 from repro.graphs.updates import (
     EdgeDelete,
     EdgeInsert,
+    UpdateBatch,
     WeightChange,
     save_update_stream,
     save_update_stream_segments,
@@ -85,3 +86,39 @@ class TestSources:
         assert list(iter_update_batches([], 2)) == []
         with pytest.raises(ValueError):
             list(iter_update_batches(UPDATES, 0))
+
+    def test_iter_update_batches_slices_columns(self):
+        batches = list(iter_update_batches(UpdateBatch.from_updates(UPDATES), 2))
+        assert all(isinstance(b, UpdateBatch) for b in batches)
+        assert [list(b) for b in batches] == [UPDATES[0:2], UPDATES[2:4], UPDATES[4:]]
+        assert batches[2].where(0) == "update 5"
+
+
+class TestCollect:
+    def test_collect_decodes_one_batch_with_lines(self, tmp_path):
+        path = tmp_path / "u.jsonl"
+        save_update_stream(UPDATES, path)
+        path.write_text("# header\n" + path.read_text())
+        batch = FileSource(path).collect()
+        assert isinstance(batch, UpdateBatch) and len(batch) == len(UPDATES)
+        assert batch == UPDATES
+        assert batch.lines.tolist() == [2, 3, 4, 5, 6]
+
+    def test_collect_is_only_defined_on_the_base_class(self):
+        # Tracing wraps UpdateSource.collect; an override would bypass it.
+        for cls in (FileSource, DirectorySource):
+            assert "collect" not in vars(cls)
+
+    def test_directory_collect_joins_segments(self, tmp_path):
+        save_update_stream_segments(UPDATES, tmp_path, segment_size=2)
+        batch = DirectorySource(tmp_path).collect()
+        assert batch == UPDATES
+        # Line numbers restart per segment, so joined errors name positions.
+        assert batch.lines is None and batch.where(4) == "update 5"
+
+    def test_directory_decode_error_names_segment_and_line(self, tmp_path):
+        paths = save_update_stream_segments(UPDATES, tmp_path, segment_size=2)
+        with open(paths[1], "a", encoding="utf-8") as fh:
+            fh.write('{"op": "insert", "u": 1, "v": true}\n')
+        with pytest.raises(ValueError, match=r"part-00001\.jsonl: update stream line 3: "):
+            DirectorySource(tmp_path).collect()

@@ -16,6 +16,7 @@ from repro.dynamic import (
     repair_wal,
 )
 from repro.dynamic.wal import _canonical, _crc
+from repro.graphs.updates import UpdateBatch, update_to_json
 
 BATCH0 = [EdgeInsert(0, 1), EdgeDelete(2, 3), WeightChange(4, 2.5)]
 BATCH1 = [EdgeInsert(5, 6)]
@@ -187,3 +188,24 @@ class TestFormatGates:
         b = {"updates": [], "batch_index": 3, "v": 1}
         assert _canonical(a) == _canonical(b)
         assert zlib.crc32(_canonical(a).encode()) == _crc(b)
+
+
+class TestColumnarEncoding:
+    def test_line_is_canonical_json_of_the_record(self, wal_path):
+        """The writer formats from the columns; the bytes must equal the
+        sorted-key ``json.dumps`` form the reader checksums."""
+        updates = BATCH0 + [WeightChange(1, 0.1), WeightChange(7, 1e-300), EdgeDelete(9, 2)]
+        for digest in ("", "ab" * 32):
+            with WriteAheadLog(wal_path, fsync=False) as wal:
+                record = wal.append(3, UpdateBatch.from_updates(updates), state_digest=digest)
+            payload = {
+                "v": 1,
+                "batch_index": 3,
+                "updates": [update_to_json(u) for u in updates],
+            }
+            if digest:
+                payload["state_digest"] = digest
+            line = _forge_line(payload)
+            assert wal_path.read_bytes() == line
+            assert (record.to_line() + "\n").encode() == line
+            wal_path.unlink()
