@@ -91,6 +91,10 @@ def prune_redundant_vertices(
             if sweep.size and (sweep[0] < 0 or sweep[-1] >= graph.n):
                 raise ValueError(f"candidate ids must lie in [0, {graph.n})")
 
+    # Sweep only the vertices that can drop now: `needed` only grows and
+    # the cover only shrinks during the pass, so every other vertex would
+    # hit the `continue` below anyway (the decisions are unchanged).
+    sweep = sweep[cover[sweep] & (needed[sweep] == 0)]
     with np.errstate(divide="ignore"):
         effectiveness = np.where(graph.degrees > 0, w / np.maximum(graph.degrees, 1), np.inf)
     order = sweep[np.lexsort((sweep, -effectiveness[sweep]))]

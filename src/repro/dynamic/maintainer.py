@@ -21,6 +21,16 @@ re-solving from scratch.  The invariants after every
    greedily pruned (most expensive first) if all their current neighbors
    are covered; untouched vertices keep their state, so the pass is
    O(batch-neighborhood), not O(n).
+4. **Loss counters** — ``_out[v]`` is the number of ``v``'s current
+   neighbors outside the cover (the incremental score of local-search
+   MinVC solvers).  A cover vertex is droppable iff ``_out[v] == 0``, so
+   only those touched vertices reach the prune kernel.  The counters are
+   derived state: :meth:`~IncrementalCoverMaintainer.apply_batch` keeps
+   them exact from what each step reports changed (effective edge
+   events, entered and pruned vertices), :meth:`adopt` and
+   :meth:`from_state` recount them, snapshots never store them, and
+   :meth:`~IncrementalCoverMaintainer.verify` audits them against a
+   from-scratch recount.
 
 The hot path is array-at-a-time end to end: a batch arrives as a columnar
 :class:`~repro.graphs.updates.UpdateBatch`, :meth:`DynamicGraph.apply_batch`
@@ -159,6 +169,10 @@ class AppliedEvents(NamedTuple):
     #: Effective inserts whose endpoints were both outside the cover, as
     #: canonical ``(u, v)`` keys in sorted order.
     uncovered: List[Tuple[int, int]]
+    #: Endpoint arrays ``(u, v)`` of the effective inserts and of the
+    #: effective deletes (repeats allowed, any order).
+    inserted: Tuple[np.ndarray, np.ndarray]
+    deleted: Tuple[np.ndarray, np.ndarray]
 
 
 class IncrementalCoverMaintainer:
@@ -180,8 +194,8 @@ class IncrementalCoverMaintainer:
     After every :meth:`apply_batch`, :attr:`last_batch_timings` holds that
     batch's wall seconds by section: ``adjacency_s`` (event apply and
     delta-log compaction), ``repair_s`` (pricing repair), ``prune_s`` and
-    ``certificate_s``.  Adding them up across batches is the stream
-    engine's job.
+    ``certificate_s``; each includes its share of the loss-counter upkeep.
+    Adding them up across batches is the stream engine's job.
     """
 
     def __init__(self, dyn: DynamicGraph):
@@ -201,6 +215,9 @@ class IncrementalCoverMaintainer:
             # validity invariant holds from the first moment.  Callers are
             # expected to adopt() a real solution before streaming.
             self._cover[:] = True
+        #: Loss counters: current neighbors outside the cover, per vertex
+        #: (all zero here: either every vertex is covered or none has an edge).
+        self._out = np.zeros(n, dtype=np.int64)
 
     # ------------------------------------------------------------------ #
     # state accessors
@@ -307,6 +324,7 @@ class IncrementalCoverMaintainer:
         maintainer._base_ratio = None if base is None else float(base)
         maintainer._batches = int(state["batches_applied"])
         maintainer.last_batch_timings = None
+        maintainer._out = maintainer._recount_out(*dyn.edge_arrays())
         return maintainer
 
     # ------------------------------------------------------------------ #
@@ -320,11 +338,11 @@ class IncrementalCoverMaintainer:
         """The duality certificate of the maintained state.
 
         ``is_cover`` here asserts the maintainer's invariant (it is
-        recomputed exactly by :meth:`verify`, which materializes the
-        graph).  The OPT lower bound is the better of global scaling
-        ``Σx / load_factor`` and excess subtraction ``Σx − Σ_v (y_v −
-        w_v)_+``; :func:`~repro.dynamic.repair.certificate_from_state`
-        states why both are sound.
+        recomputed exactly by :meth:`verify`).  The OPT lower bound is the
+        better of global scaling ``Σx / load_factor`` and excess
+        subtraction ``Σx − Σ_v (y_v − w_v)_+``;
+        :func:`~repro.dynamic.repair.certificate_from_state` states why
+        both are sound.
         """
         return certificate_from_state(
             weights=self.dyn.weights,
@@ -346,8 +364,25 @@ class IncrementalCoverMaintainer:
         return ratio / base - 1.0
 
     def verify(self) -> bool:
-        """Exact validity check against the materialized current graph."""
-        return self.dyn.materialize().is_vertex_cover(self._cover)
+        """Exact O(m) audit of the cover and the loss counters.
+
+        True iff every current edge has a covered endpoint and the loss
+        counters equal a from-scratch recount.  Both checks run over
+        :meth:`DynamicGraph.edge_arrays` — the graph is never
+        canonicalized.
+        """
+        u, v = self.dyn.edge_arrays()
+        if not (self._cover[u] | self._cover[v]).all():
+            return False
+        return bool(np.array_equal(self._out, self._recount_out(u, v)))
+
+    def _recount_out(self, u: np.ndarray, v: np.ndarray) -> np.ndarray:
+        """Loss counters from scratch over the current edges ``(u, v)``."""
+        free = ~self._cover
+        n = self.dyn.n
+        return np.bincount(u[free[v]], minlength=n) + np.bincount(
+            v[free[u]], minlength=n
+        )
 
     # ------------------------------------------------------------------ #
     # adopting a full solution
@@ -395,6 +430,7 @@ class IncrementalCoverMaintainer:
         self._x = dict(zip(codes.tolist(), x[nz].tolist()))
         self._loads = g.incident_sums(x)
         self._dual_value = float(x.sum())
+        self._out = self._recount_out(*self.dyn.edge_arrays())
         cert = self.certificate()
         self._base_ratio = cert.certified_ratio
         return cert
@@ -419,20 +455,26 @@ class IncrementalCoverMaintainer:
         neighborhood: uncovered inserted edges are patched by the pricing
         rule, then touched vertices are pruned greedily.  The certificate
         in the returned report reflects the post-repair state.
+
+        The loss counters are kept here, never inside the overridable
+        steps (:meth:`_apply_events`, :meth:`_repair`,
+        :meth:`_prune_touched`): each step reports what it changed and
+        the counters follow with a few array operations, booked in that
+        step's timing section.
         """
         batch = UpdateBatch.from_updates(updates)
         t_start = time.perf_counter()
         events = self._apply_events(batch)
+        self._count_edge_events(events.inserted, +1)
+        self._count_edge_events(events.deleted, -1)
         t_applied = time.perf_counter()
 
-        repaired, entered = self._repair(events.uncovered)
+        repaired, entered_set = self._repair(events.uncovered)
+        entered = np.fromiter(entered_set, dtype=np.int64, count=len(entered_set))
+        self._shift_neighbors(entered, -1)
         t_repaired = time.perf_counter()
-        pruned = self._prune_touched(
-            np.union1d(
-                events.touched,
-                np.fromiter(entered, dtype=np.int64, count=len(entered)),
-            )
-        )
+        pruned = self._prune_touched(np.union1d(events.touched, entered))
+        self._shift_neighbors(np.asarray(pruned, dtype=np.int64), +1)
         t_pruned = time.perf_counter()
         # Amortized: fold the delta log into a fresh snapshot once it
         # outgrows the base (the maintainer's edge-code-keyed state is
@@ -451,7 +493,7 @@ class IncrementalCoverMaintainer:
             reweights=events.reweights,
             repaired_edges=repaired,
             added_to_cover=len(entered),
-            pruned_from_cover=pruned,
+            pruned_from_cover=len(pruned),
             retired_dual=events.retired,
             certificate=cert,
             drift=self.drift(),
@@ -487,7 +529,35 @@ class IncrementalCoverMaintainer:
             retired=self._retire_duals(encode_edge_codes(lo[dels], hi[dels])),
             touched=np.concatenate([lo[edge], hi[edge], batch.v[rw]]),
             uncovered=list(zip(cu.tolist(), cv.tolist())),
+            inserted=(iu, iv),
+            deleted=(lo[dels], hi[dels]),
         )
+
+    def _count_edge_events(
+        self, edges: Tuple[np.ndarray, np.ndarray], sign: int
+    ) -> None:
+        """Add (``sign=+1``) or remove (``-1``) edges from the loss counters.
+
+        Each endpoint gains or loses one outside neighbor iff the other
+        endpoint is uncovered.  The cover does not change during the
+        event phase, so the effective events count in any order.
+        """
+        u, v = edges
+        if not u.size:
+            return
+        free = ~self._cover
+        np.add.at(self._out, np.concatenate([u[free[v]], v[free[u]]]), sign)
+
+    def _shift_neighbors(self, vertices: np.ndarray, delta: int) -> None:
+        """Add ``delta`` to the loss counter of every neighbor of each
+        vertex in ``vertices`` (``-1`` after they enter the cover, ``+1``
+        after they leave it)."""
+        if not vertices.size:
+            return
+        concat, _, _, extras = self.dyn.prune_gather(vertices)
+        if extras:
+            concat = np.concatenate([concat, *extras.values()])
+        np.add.at(self._out, concat, delta)
 
     def _retire_duals(self, codes: np.ndarray) -> float:
         """Drop deleted edges' duals in event order; returns the retired mass."""
@@ -533,20 +603,21 @@ class IncrementalCoverMaintainer:
         self._dual_value = outcome.dual_value
         return outcome.repaired, outcome.entered
 
-    def _prune_touched(self, touched: np.ndarray) -> int:
+    def _prune_touched(self, touched: np.ndarray) -> Sequence[int]:
         """Greedy redundancy pruning restricted to the touched vertices.
 
-        ``touched`` is a sorted array of distinct vertex ids.
-        The kernel walks the dynamic CSR directly — O(batch
-        neighborhood), *never* materializing the graph: decreasing
-        ``w/deg`` order, droppable iff every incident edge's other
-        endpoint is covered, and dropping ``v`` locks its neighbors —
-        each now solely covers its edge to ``v``.
+        ``touched`` is a sorted array of distinct vertex ids; returns the
+        pruned ids.  Only touched cover vertices with a zero loss counter
+        (every neighbor covered) reach the kernel: a candidate that cannot
+        drop at pass start never drops and locks nothing, so the filter
+        leaves every decision unchanged.  The kernel walks the dynamic CSR
+        directly — O(batch neighborhood), *never* materializing the
+        graph: decreasing ``w/deg`` order, and dropping ``v`` locks its
+        neighbors — each now solely covers its edge to ``v``.
         """
-        candidates = touched[self._cover[touched]]
+        candidates = touched[self._cover[touched] & (self._out[touched] == 0)]
         if not candidates.size:
-            return 0
-        pruned = greedy_prune_pass(
+            return []
+        return greedy_prune_pass(
             candidates, weights=self.dyn.weights, cover=self._cover, graph=self.dyn
         )
-        return len(pruned)

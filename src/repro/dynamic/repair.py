@@ -8,7 +8,12 @@ functions over plain arrays and a :class:`~repro.dynamic.DynamicGraph`:
   uncovered edges, processed in canonical sorted-key order.
 * :func:`greedy_prune_pass` — the sequential greedy redundancy prune over
   a candidate set, reading degrees and neighborhoods straight from the
-  dynamic graph's CSR-delta arrays.
+  dynamic graph's CSR-delta arrays.  The maintainer pre-filters the set
+  (``IncrementalCoverMaintainer._prune_touched``): only touched cover
+  vertices whose loss counter is zero — every neighbor covered — are
+  passed in, so the neighborhood gather runs over droppable vertices
+  only.  The kernel still checks droppability itself and takes any
+  candidate set.
 * :func:`certificate_from_state` — the duality certificate from the raw
   ``(weights, cover, loads, dual_value)`` arrays.
 

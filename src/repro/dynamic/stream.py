@@ -459,7 +459,8 @@ class _StreamEngine:
         if self.verify_every and (index + 1) % self.verify_every == 0:
             if not self.maintainer.verify():  # pragma: no cover - invariant guard
                 raise RuntimeError(
-                    f"invalid cover after batch {index} — maintainer bug"
+                    f"invalid cover or stale loss counters after batch {index}"
+                    " — maintainer bug"
                 )
         record = StreamRecord(
             batch_index=index,

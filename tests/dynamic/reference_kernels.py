@@ -135,20 +135,19 @@ class ReferenceKernelMaintainer(IncrementalCoverMaintainer):
         w = self.dyn.weights
         candidates = [v for v in touched.tolist() if self._cover[v]]
         if not candidates:
-            return 0
+            return []
         if len(candidates) * 8 > self.dyn.n:
-            before = int(self._cover.sum())
+            before = self._cover
             self._cover = prune_redundant_vertices(
                 self.dyn.materialize(),
-                self._cover,
+                before,
                 weights=w,
                 candidates=np.asarray(candidates, dtype=np.int64),
             )
-            return before - int(self._cover.sum())
-        pruned = reference_greedy_prune_pass(
+            return np.flatnonzero(before & ~self._cover)
+        return reference_greedy_prune_pass(
             candidates, weights=w, cover=self._cover, graph=self.dyn
         )
-        return len(pruned)
 
 
 # ---------------------------------------------------------------------- #
@@ -244,6 +243,11 @@ def reference_apply(dyn: DynamicGraph, update: GraphUpdate) -> bool:
     raise TypeError(f"not a graph update: {type(update).__name__}")
 
 
+def _endpoints(keys: List[EdgeKey]) -> Tuple[np.ndarray, np.ndarray]:
+    arr = np.asarray(keys, dtype=np.int64).reshape(len(keys), 2)
+    return arr[:, 0], arr[:, 1]
+
+
 class ReferenceEventMaintainer(IncrementalCoverMaintainer):
     """A maintainer whose event phase is the original per-event loop."""
 
@@ -252,6 +256,8 @@ class ReferenceEventMaintainer(IncrementalCoverMaintainer):
         retired = 0.0
         touched: List[int] = []
         uncovered: List[EdgeKey] = []
+        inserted: List[EdgeKey] = []
+        deleted: List[EdgeKey] = []
         for upd in batch:
             if not reference_apply(self.dyn, upd):
                 continue
@@ -259,12 +265,14 @@ class ReferenceEventMaintainer(IncrementalCoverMaintainer):
                 inserts += 1
                 key = (min(upd.u, upd.v), max(upd.u, upd.v))
                 touched.extend(key)
+                inserted.append(key)
                 if not (self._cover[key[0]] or self._cover[key[1]]):
                     uncovered.append(key)
             elif isinstance(upd, EdgeDelete):
                 deletes += 1
                 key = (min(upd.u, upd.v), max(upd.u, upd.v))
                 touched.extend(key)
+                deleted.append(key)
                 retired += self._retire_dual(key)
             else:
                 reweights += 1
@@ -276,6 +284,8 @@ class ReferenceEventMaintainer(IncrementalCoverMaintainer):
             retired=retired,
             touched=np.asarray(touched, dtype=np.int64),
             uncovered=sorted(set(uncovered)),
+            inserted=_endpoints(inserted),
+            deleted=_endpoints(deleted),
         )
 
     def _retire_dual(self, key: EdgeKey) -> float:

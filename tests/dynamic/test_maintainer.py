@@ -188,6 +188,55 @@ class TestBootstrap:
         assert m.certified_ratio() == float("inf")  # but uncertified
 
 
+class TestVerifyAudit:
+    """`verify()` audits validity and the loss counters in O(m)."""
+
+    def _churned(self, medium):
+        m = _solved_maintainer(medium)
+        rng = np.random.default_rng(4)
+        pairs = rng.integers(0, medium.n, size=(200, 2))
+        m.apply_batch([EdgeInsert(int(a), int(b)) for a, b in pairs if a != b])
+        assert m.verify()
+        return m
+
+    def test_flipping_one_cover_bit_fails(self, medium):
+        m = self._churned(medium)
+        degrees = m.dyn.degrees_of(np.arange(medium.n))
+        for v in np.flatnonzero(degrees)[:40].tolist():
+            m._cover[v] = not m._cover[v]
+            assert not m.verify(), v
+            m._cover[v] = not m._cover[v]
+        assert m.verify()
+
+    def test_changing_one_counter_fails(self, medium):
+        m = self._churned(medium)
+        for v in (0, medium.n // 2, medium.n - 1):
+            for delta in (1, -1):
+                m._out[v] += delta
+                assert not m.verify(), (v, delta)
+                m._out[v] -= delta
+        assert m.verify()
+
+    def test_counters_survive_snapshot_round_trip(self, medium):
+        m = self._churned(medium)
+        state = m.export_state()
+        assert not any("out" in key for key in state)
+        restored = IncrementalCoverMaintainer.from_state(m.dyn, state)
+        assert np.array_equal(restored._out, m._out)
+        assert restored.verify()
+
+    def test_stream_guard_raises_on_stale_counters(self, medium, monkeypatch):
+        from repro.dynamic.stream import run_stream
+        from repro.graphs.streams import make_update_stream
+
+        updates = make_update_stream("uniform", medium, 200, seed=5)
+        monkeypatch.setattr(
+            IncrementalCoverMaintainer, "_shift_neighbors", lambda self, v, d: None
+        )
+        with pytest.raises(RuntimeError, match="stale loss counters"):
+            run_stream(medium, updates, batch_size=20, verify_every=1)
+
+
 class TestReviewRegressions:
     def test_insert_then_delete_same_batch_pays_no_dual(self):
         """A phantom edge must not inflate the lower bound (soundness)."""
